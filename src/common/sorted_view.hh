@@ -3,9 +3,9 @@
  * Deterministic iteration over unordered containers.
  *
  * The repo's bitwise-reproducibility contract (golden tables at any
- * --jobs, sharded stepping at any --sim-jobs) forbids letting
- * hash-iteration order reach committed state, statistics, or any
- * serialized/printed byte. Hash containers are still the right tool
+ * --jobs, checkpoint resume) forbids letting hash-iteration order
+ * reach committed state, statistics, or any serialized/printed
+ * byte. Hash containers are still the right tool
  * for membership and lookup — the rule is only that *iteration* on
  * such paths must happen in a key-determined order.
  *

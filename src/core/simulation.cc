@@ -1,6 +1,5 @@
 #include "core/simulation.hh"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "common/log.hh"
@@ -45,8 +44,6 @@ SimulationConfig::fromConfig(const Config &cfg)
     c.reconfig = cfg.getString("reconfig", c.reconfig);
     c.reconfigCheck = cfg.getBool("reconfig-check", c.reconfigCheck);
     c.seed = cfg.getUint("seed", c.seed);
-    c.simJobs = static_cast<unsigned>(
-        cfg.getUint("sim-jobs", c.simJobs));
     return c;
 }
 
@@ -116,18 +113,6 @@ Simulation::Simulation(const SimulationConfig &config)
     network_ = std::make_unique<Network>(
         *topology_, np, *routing_, *detector_, recovery_.get(),
         *pattern_, *lengths_, config.flitRate, config.seed);
-
-    // Sharded stepping is a runtime execution choice (results are
-    // bitwise-identical at any count): --sim-jobs when given, else
-    // the WORMNET_SIM_JOBS environment variable, else sequential.
-    unsigned sim_jobs = config.simJobs;
-    if (sim_jobs == 0) {
-        if (const char *env = std::getenv("WORMNET_SIM_JOBS"))
-            sim_jobs = static_cast<unsigned>(
-                std::strtoul(env, nullptr, 10));
-    }
-    if (sim_jobs > 1)
-        network_->setSimJobs(sim_jobs);
 
     if (!config.faults.empty()) {
         FaultParams fp = FaultModel::parseSpec(config.faults);

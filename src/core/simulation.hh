@@ -94,17 +94,6 @@ struct SimulationConfig
     std::uint64_t seed = 1;
 
     /**
-     * Intra-simulation worker threads for sharded stepping
-     * (--sim-jobs; see Network::setSimJobs()). 0 resolves to the
-     * WORMNET_SIM_JOBS environment variable, else 1 (sequential).
-     * Purely a runtime execution choice: results are
-     * bitwise-identical at every value, so it is deliberately
-     * excluded from canonicalString() — checkpoints written at one
-     * job count resume at any other.
-     */
-    unsigned simJobs = 0;
-
-    /**
      * Canonical single-line "key=value" rendering of every field.
      * Two configs produce byte-identical strings iff they build
      * identical simulations; checkpoint files embed it so a resume

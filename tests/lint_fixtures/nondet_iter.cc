@@ -7,6 +7,8 @@
  * line; the runner fails on any missing or extra finding. Lines
  * without EXPECT must stay clean, so the negative cases (sorted_view
  * escape, unreachable function, suppressed site) are asserted too.
+ * Roots: an ostream parameter (Stats::dump) and the per-cycle
+ * step() (Sim::step).
  */
 
 #include <string>
@@ -80,5 +82,29 @@ Stats::rebuildCache()
     // into output, so this stays clean.
     for (const auto &kv : counters) {
         (void)kv;
+    }
+}
+
+struct Sim
+{
+    std::unordered_set<int> active;
+
+    // Reachability root: every step() advances committed state.
+    void step();
+    void route();
+};
+
+void
+Sim::step()
+{
+    route();
+}
+
+void
+Sim::route()
+{
+    // Reachable from step() -> flagged.
+    for (const int n : active) { // EXPECT: nondet-iter/range-for
+        (void)n;
     }
 }

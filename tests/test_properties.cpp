@@ -21,10 +21,15 @@ namespace wormnet
 namespace
 {
 
-/** Conservation and cleanliness after full drain, across patterns. */
+/**
+ * Conservation and cleanliness after full drain, across patterns.
+ * String parameters are std::string, not const char *, so the
+ * discovered test names print the text rather than an address that
+ * changes from build to build.
+ */
 class ConservationSweep
     : public ::testing::TestWithParam<
-          std::tuple<const char *, double, unsigned>>
+          std::tuple<std::string, double, unsigned>>
 {
 };
 
@@ -205,7 +210,7 @@ TEST(Selectivity, NdmNeverWorseThanPdmSeedAveraged)
 
 /** With detection + recovery, no deadlock persists for long. */
 class RecoveryLiveness : public ::testing::TestWithParam<
-                             std::tuple<const char *, const char *>>
+                             std::tuple<std::string, std::string>>
 {
 };
 

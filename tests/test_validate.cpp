@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "common/log.hh"
@@ -75,7 +76,7 @@ TEST(Validate, DetectsDanglingAllocation)
 /** The kernel keeps every invariant across mechanisms and loads. */
 class ValidateSweep
     : public ::testing::TestWithParam<
-          std::tuple<const char *, const char *, unsigned, double>>
+          std::tuple<std::string, std::string, unsigned, double>>
 {
 };
 

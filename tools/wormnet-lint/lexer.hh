@@ -2,8 +2,8 @@
  * @file
  * Minimal C++ lexer for wormnet-lint.
  *
- * wormnet-lint's built-in frontend does not depend on a clang
- * installation: it tokenizes C++ itself and drives heuristic,
+ * wormnet-lint does not depend on a clang installation: it
+ * tokenizes C++ itself and drives heuristic,
  * brace-tracking parsing (model.hh) over the token stream. The lexer
  * therefore only needs to be faithful about the things a linter can
  * be confused by — comments (kept separately, they carry suppression
