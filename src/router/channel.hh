@@ -187,10 +187,6 @@ struct InputVc
     /** The occupying message is draining into the recovery buffer. */
     bool recovering = false;
 
-    /** Member of the Network's routable-head set. Owned by
-     *  Network::syncRoutable(); nothing else may write it. */
-    bool inRouteSet = false;
-
     /** Injection VCs only: the occupying message has pushed all of
      *  its flits (flitsInjected == length). Lets the injection scan
      *  skip the message-store load for fully injected worms. Derived
@@ -216,8 +212,8 @@ struct InputVc
         injDone = false;
     }
 
-    /** Checkpoint support. inRouteSet, dst and injDone are rebuilt by
-     *  the Network's activity restore, not read back. */
+    /** Checkpoint support. dst and injDone are rebuilt by the
+     *  Network's derived-state recompute, not read back. */
     template <typename S>
     void
     saveState(S &s) const
@@ -248,7 +244,6 @@ struct InputVc
         lastFeasible = d.u32();
         headBlockedSince = d.u64();
         recovering = d.boolean();
-        inRouteSet = false;
         dst = kInvalidNode;
         injDone = false;
     }

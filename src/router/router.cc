@@ -58,27 +58,4 @@ Router::inputPcFullyBusy(PortId port) const
     return true;
 }
 
-bool
-Router::outputPcOccupied(PortId port) const
-{
-    for (VcId v = 0; v < params_.vcs; ++v) {
-        if (outputVc(port, v).allocated)
-            return true;
-    }
-    return false;
-}
-
-unsigned
-Router::busyNetworkOutputVcs() const
-{
-    unsigned busy = 0;
-    for (PortId p = 0; p < params_.netPorts; ++p) {
-        for (VcId v = 0; v < params_.vcs; ++v) {
-            if (outputVc(p, v).allocated)
-                ++busy;
-        }
-    }
-    return busy;
-}
-
 } // namespace wormnet

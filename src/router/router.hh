@@ -131,13 +131,6 @@ class Router
     /** All virtual channels of input physical channel @p port busy? */
     bool inputPcFullyBusy(PortId port) const;
 
-    /** Any output VC of @p port currently allocated to a worm? */
-    bool outputPcOccupied(PortId port) const;
-
-    /** Count of allocated output VCs on *network* ports (used by the
-     *  injection-limitation mechanism). */
-    unsigned busyNetworkOutputVcs() const;
-
     /** @name Link wiring, set once by the Network. */
     /// @{
     LinkEnd &downstream(PortId out_port) { return down_[out_port]; }

@@ -57,15 +57,8 @@ class NodeBitset
         return (words_[i >> 6] >> (i & 63)) & 1u;
     }
 
-    bool
-    empty() const
-    {
-        for (const std::uint64_t w : words_) {
-            if (w != 0)
-                return false;
-        }
-        return true;
-    }
+    /** Same size and members (the derived-state cross-check). */
+    bool operator==(const NodeBitset &) const = default;
 
     /**
      * Visit the members in ascending node order, word-at-a-time.
@@ -90,22 +83,6 @@ class NodeBitset
                     __builtin_ctzll(w));
                 w &= w - 1;
                 fn(static_cast<NodeId>((wi << 6) + b));
-            }
-        }
-    }
-
-    /** Append the members to @p out in ascending node order. */
-    void
-    appendTo(std::vector<NodeId> &out) const
-    {
-        for (std::size_t wi = 0; wi < words_.size(); ++wi) {
-            std::uint64_t w = words_[wi];
-            while (w) {
-                const unsigned b = static_cast<unsigned>(
-                    __builtin_ctzll(w));
-                w &= w - 1;
-                out.push_back(
-                    static_cast<NodeId>((wi << 6) + b));
             }
         }
     }

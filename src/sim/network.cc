@@ -78,17 +78,7 @@ Network::Network(const Topology &topo, const NetworkParams &params,
     outPorts_ = routerParams_.numOutPorts();
     vcs_ = routerParams_.vcs;
     netPorts_ = routerParams_.netPorts;
-
-    routeActive_.init(n);
-    routablePerPort_.assign(std::size_t(n) * inPorts_, 0);
-    routablePerNode_.assign(n, 0);
-    switchActive_.init(n);
-    allocPerPort_.assign(std::size_t(n) * outPorts_, 0);
-    allocPerNode_.assign(n, 0);
-    allocOutMask_.assign(n, 0);
-    netAllocPerNode_.assign(n, 0);
-    injActive_.init(n);
-    injVcBusy_.assign(n, 0);
+    injSlots_ = routerParams_.injPorts * vcs_;
     detActive_.init(n);
     detectorIdleStable_ = detector_.idleCycleEndStable();
     detectorWantsCandidates_ = detector_.wantsBlockedCandidates();
@@ -98,49 +88,25 @@ Network::Network(const Topology &topo, const NetworkParams &params,
     // Steady-state churn should never reallocate the per-cycle
     // scratch buffers.
     txNodes_.reserve(n);
-    nodeScratch_.reserve(n);
     creditReturns_.reserve(std::size_t(n) * outPorts_);
     faultKillQueue_.reserve(64);
     candScratch_.reserve(outPorts_);
     freeScratch_.reserve(std::size_t(outPorts_) * vcs_);
     blockedCandScratch_.reserve(outPorts_);
 
-    // The SoA occupancy masks and the route-candidate cache.
-    outAllocVcMask_.assign(std::size_t(n) * outPorts_, 0);
-    downFreeVcMask_.assign(std::size_t(n) * outPorts_, 0);
-    const std::uint32_t all_vcs = (std::uint32_t(1) << vcs_) - 1;
-    for (NodeId i = 0; i < n; ++i) {
-        for (PortId q = 0; q < outPorts_; ++q) {
-            // Ejection ports always accept; dangling mesh-edge ports
-            // never do; network links start with every lane free.
-            if (routers_[i].isEjectionPort(q) ||
-                routers_[i].downstream(q).valid())
-                downFreeVcMask_[std::size_t(i) * outPorts_ + q] =
-                    all_vcs;
-        }
-    }
+    recomputeDerived(derived_, true);
     candMsg_.assign(std::size_t(n) * inPorts_ * vcs_, kInvalidMsg);
     candCount_.assign(candMsg_.size(), 0);
     candPort_.assign(candMsg_.size() * outPorts_, 0);
     candMask_.assign(candMsg_.size() * outPorts_, 0);
-    candPortOv_.reserve(2 * outPorts_);
-    candMaskOv_.reserve(2 * outPorts_);
-    routableVcMask_.assign(std::size_t(n) * inPorts_, 0);
-    switchCandVcMask_.assign(std::size_t(n) * outPorts_, 0);
-    injIncomplete_.assign(n, 0);
-    injSlots_ = routerParams_.injPorts * vcs_;
 
     // Full-level contract builds (WORMNET_CONTRACTS=full) run the
-    // brute-force active-set cross-check every cycle by default; the
+    // derived-state cross-check every cycle by default; the
     // WORMNET_CHECK_ACTIVE_SETS environment variable overrides in
     // either direction on any build.
     checkActiveSets_ = WORMNET_INVARIANT_ENABLED;
     if (const char *check = std::getenv("WORMNET_CHECK_ACTIVE_SETS"))
         checkActiveSets_ = std::strcmp(check, "0") != 0;
-    // Same convention for the SoA mirror cross-check.
-    checkSoa_ = WORMNET_INVARIANT_ENABLED;
-    if (const char *check = std::getenv("WORMNET_CHECK_SOA"))
-        checkSoa_ = std::strcmp(check, "0") != 0;
 
     DetectorContext ctx;
     ctx.numRouters = n;
@@ -196,34 +162,30 @@ Network::injectMessage(NodeId src, NodeId dst, unsigned length)
 void
 Network::syncRoutable(NodeId node, PortId port, VcId vc)
 {
-    InputVc &ivc = routers_[node].inputVc(port, vc);
-    const bool want =
-        ivc.msg != kInvalidMsg && !ivc.routed && !ivc.recovering;
-    if (want == ivc.inRouteSet)
-        return;
-    ivc.inRouteSet = want;
-    if (want) {
-        ++routablePerPort_[std::size_t(node) * inPorts_ + port];
-        routableVcMask_[std::size_t(node) * inPorts_ + port] |=
-            std::uint32_t(1) << vc;
-        if (routablePerNode_[node]++ == 0)
-            routeActive_.insert(node);
-    } else {
-        --routablePerPort_[std::size_t(node) * inPorts_ + port];
-        routableVcMask_[std::size_t(node) * inPorts_ + port] &=
-            ~(std::uint32_t(1) << vc);
-        if (--routablePerNode_[node] == 0)
-            routeActive_.erase(node);
+    const InputVc &ivc = routers_[node].inputVc(port, vc);
+    std::uint32_t *words =
+        &derived_.routableVcMask[std::size_t(node) * inPorts_];
+    const std::uint32_t bit = std::uint32_t(1) << vc;
+    if (ivc.msg != kInvalidMsg && !ivc.routed && !ivc.recovering) {
+        words[port] |= bit;
+        derived_.routeActive.insert(node);
+    } else if (words[port] & bit) {
+        words[port] &= ~bit;
+        // The node leaves the set with its last routable VC.
+        if (words[port] == 0 &&
+            std::all_of(words, words + inPorts_,
+                        [](std::uint32_t w) { return w == 0; }))
+            derived_.routeActive.erase(node);
     }
 }
 
 void
 Network::syncInjActive(NodeId node)
 {
-    if (!sourceQueues_[node].empty() || injVcBusy_[node] > 0)
-        injActive_.insert(node);
+    if (!sourceQueues_[node].empty() || derived_.injVcBusy[node] > 0)
+        derived_.injActive.insert(node);
     else
-        injActive_.erase(node);
+        derived_.injActive.erase(node);
 }
 
 void
@@ -236,19 +198,16 @@ Network::allocOutputVc(NodeId node, PortId port, VcId vc, MsgId msg,
     out.msg = msg;
     out.srcPort = src_port;
     out.srcVc = src_vc;
-    outAllocVcMask_[std::size_t(node) * outPorts_ + port] |=
-        std::uint32_t(1) << vc;
+    const std::size_t idx = std::size_t(node) * outPorts_ + port;
+    const std::uint32_t bit = std::uint32_t(1) << vc;
+    if (derived_.outAllocVcMask[idx] == 0)
+        derived_.allocOutMask[node] |= PortMask(1) << port;
+    derived_.outAllocVcMask[idx] |= bit;
     // Fresh allocations always qualify: full credit budget, head
     // flit still buffered in the source VC, and routing never grants
     // a recovering head.
-    switchCandVcMask_[std::size_t(node) * outPorts_ + port] |=
-        std::uint32_t(1) << vc;
-    if (allocPerPort_[std::size_t(node) * outPorts_ + port]++ == 0)
-        allocOutMask_[node] |= PortMask(1) << port;
-    if (allocPerNode_[node]++ == 0)
-        switchActive_.insert(node);
-    if (port < netPorts_)
-        ++netAllocPerNode_[node];
+    derived_.switchCandVcMask[idx] |= bit;
+    derived_.switchActive.insert(node);
     detActive_.insert(node);
 }
 
@@ -258,16 +217,13 @@ Network::releaseOutputVc(NodeId node, PortId port, VcId vc)
     OutputVc &out = routers_[node].outputVc(port, vc);
     WORMNET_ASSERT(out.allocated);
     out.release();
-    outAllocVcMask_[std::size_t(node) * outPorts_ + port] &=
-        ~(std::uint32_t(1) << vc);
-    switchCandVcMask_[std::size_t(node) * outPorts_ + port] &=
-        ~(std::uint32_t(1) << vc);
-    if (--allocPerPort_[std::size_t(node) * outPorts_ + port] == 0)
-        allocOutMask_[node] &= ~(PortMask(1) << port);
-    if (--allocPerNode_[node] == 0)
-        switchActive_.erase(node);
-    if (port < netPorts_)
-        --netAllocPerNode_[node];
+    const std::size_t idx = std::size_t(node) * outPorts_ + port;
+    const std::uint32_t bit = std::uint32_t(1) << vc;
+    derived_.outAllocVcMask[idx] &= ~bit;
+    derived_.switchCandVcMask[idx] &= ~bit;
+    if (derived_.outAllocVcMask[idx] == 0 &&
+        (derived_.allocOutMask[node] &= ~(PortMask(1) << port)) == 0)
+        derived_.switchActive.erase(node);
 }
 
 void
@@ -279,16 +235,16 @@ Network::releaseInputVc(NodeId node, PortId port, VcId vc)
     ivc.release();
     syncRoutable(node, port, vc);
     if (port >= netPorts_) {
-        --injVcBusy_[node];
+        --derived_.injVcBusy[node];
         if (mid_injection)
-            --injIncomplete_[node];
+            --derived_.injIncomplete[node];
         syncInjActive(node);
     } else {
         // The lane upstream of this VC can host a new worm again.
         const LinkEnd &up = routers_[node].upstream(port);
         if (up.valid())
-            downFreeVcMask_[std::size_t(up.node) * outPorts_ +
-                            up.port] |= std::uint32_t(1) << vc;
+            derived_.downFreeVcMask[std::size_t(up.node) * outPorts_ +
+                                    up.port] |= std::uint32_t(1) << vc;
     }
     detector_.onInputVcFreed(node, port, vc);
 }
@@ -307,9 +263,9 @@ Network::replayCredits()
             const InputVc &src =
                 routers_[cr.node].inputVc(o.srcPort, o.srcVc);
             if (!src.recovering && !src.fifo.empty())
-                switchCandVcMask_[std::size_t(cr.node) * outPorts_ +
-                                  cr.port] |= std::uint32_t(1)
-                                              << cr.vc;
+                derived_.switchCandVcMask[std::size_t(cr.node) * outPorts_ +
+                                          cr.port] |= std::uint32_t(1)
+                                                      << cr.vc;
         }
     }
     creditReturns_.clear();
@@ -333,7 +289,7 @@ Network::pushSource(NodeId node, MsgId msg, bool at_front)
     else
         sourceQueues_[node].push_back(msg);
     ++totalQueuedCount_;
-    injActive_.insert(node);
+    derived_.injActive.insert(node);
 }
 
 MsgId
@@ -378,16 +334,16 @@ Network::invalidateRouteCache()
 void
 Network::resetBlockedHeads()
 {
-    routeActive_.forEach([this](NodeId node) {
+    derived_.routeActive.forEach([this](NodeId node) {
         Router &rt = routers_[node];
         for (PortId p = 0; p < inPorts_; ++p) {
-            if (routablePerPort_[std::size_t(node) * inPorts_ + p] ==
-                0)
-                continue;
-            for (VcId v = 0; v < vcs_; ++v) {
+            // Exactly the unrouted, non-recovering heads.
+            std::uint32_t vcm =
+                derived_.routableVcMask[std::size_t(node) * inPorts_ + p];
+            while (vcm) {
+                const VcId v = static_cast<VcId>(__builtin_ctz(vcm));
+                vcm &= vcm - 1;
                 InputVc &vc = rt.inputVc(p, v);
-                if (vc.free() || vc.routed || vc.recovering)
-                    continue;
                 // The next routing failure becomes a fresh first
                 // attempt under the new relation, re-seeding the
                 // detector's G/P (or blocked-since) state soundly.
@@ -496,9 +452,7 @@ Network::step()
     oracleTick();
 
     if (checkActiveSets_)
-        verifyActiveSets();
-    if (checkSoa_)
-        verifySoaState();
+        verifyDerivedState();
 
     ++now_;
 }
@@ -506,7 +460,22 @@ Network::step()
 bool
 Network::injectionAllowed(NodeId node) const
 {
-    return netAllocPerNode_[node] <= injectionLimitCount_;
+    // Busy VCs on the network output ports. This runs for every
+    // injection port of every throttled node each cycle, so the bits
+    // are counted branch-free in registers: without a hardware
+    // popcount target flag std::popcount is a library call, and a
+    // bit-clearing loop mispredicts on the varying counts.
+    const std::uint32_t *alloc =
+        &derived_.outAllocVcMask[std::size_t(node) * outPorts_];
+    std::size_t busy = 0;
+    for (PortId q = 0; q < netPorts_; ++q) {
+        std::uint32_t x = alloc[q];
+        x -= (x >> 1) & 0x55555555u;
+        x = (x & 0x33333333u) + ((x >> 2) & 0x33333333u);
+        x = (x + (x >> 4)) & 0x0f0f0f0fu;
+        busy += (x * 0x01010101u) >> 24;
+    }
+    return busy <= injectionLimitCount_;
 }
 
 void
@@ -655,7 +624,7 @@ Network::generateAndInject()
                 pushSource(node, id, false);
             }
         }
-        if (injActive_.contains(node))
+        if (derived_.injActive.contains(node))
             tryStartInjection(node);
     }
 }
@@ -667,7 +636,8 @@ Network::tryStartInjection(NodeId node)
     // injected (blocked) worm and the source queue backs up. Nothing
     // below can have any effect — no refills, no stall reports (all
     // injDone), no free VC for a new worm — so skip the port scans.
-    if (injVcBusy_[node] == injSlots_ && injIncomplete_[node] == 0)
+    if (derived_.injVcBusy[node] == injSlots_ &&
+        derived_.injIncomplete[node] == 0)
         return;
 
     Router &rt = routers_[node];
@@ -683,7 +653,7 @@ Network::tryStartInjection(NodeId node)
         // its Message record.
         VcId pushed_vc = kInvalidVc;
         for (unsigned k = 0;
-             injIncomplete_[node] != 0 && k < vcs &&
+             derived_.injIncomplete[node] != 0 && k < vcs &&
              pushed_vc == kInvalidVc;
              ++k) {
             unsigned vi = rt.injRoundRobin[pi] + k;
@@ -703,7 +673,7 @@ Network::tryStartInjection(NodeId node)
             ++m.flitsInjected;
             if (m.flitsInjected >= m.length) {
                 vc.injDone = true;
-                --injIncomplete_[node];
+                --derived_.injIncomplete[node];
             }
             m.lastInjectCycle = now_;
             rt.injRoundRobin[pi] = (v + 1) % vcs;
@@ -738,7 +708,7 @@ Network::tryStartInjection(NodeId node)
 
         // Otherwise try to start a new message on this port. With
         // every injection VC busy there can be no free VC below.
-        if (injVcBusy_[node] == injSlots_)
+        if (derived_.injVcBusy[node] == injSlots_)
             continue;
         if (sourceQueues_[node].empty())
             continue;
@@ -766,7 +736,7 @@ Network::tryStartInjection(NodeId node)
                     Flit{id, flitTypeAt(0, m.length), now_ + 1});
         rt.inputVc(port, free_vc).injDone = m.length <= 1;
         if (m.length > 1)
-            ++injIncomplete_[node];
+            ++derived_.injIncomplete[node];
         ++inFlight_;
         ++stats_.injected;
         if (measuring_)
@@ -781,7 +751,7 @@ Network::routeAll()
     // Word-at-a-time walk of the active nodes: routing can only
     // shrink the set (grants and recovery verdicts), and a shrunken
     // entry's routeOne is a no-op, exactly as in the exhaustive scan.
-    routeActive_.forEach([this](NodeId node) {
+    derived_.routeActive.forEach([this](NodeId node) {
         Router &rt = routers_[node];
         const PortMask fault_mask = deadOutMask(node);
         const unsigned offset = (now_ + node) % inPorts_;
@@ -793,7 +763,7 @@ Network::routeAll()
             // (already visited), and concurrent recovery marks are
             // re-checked inside routeOne.
             std::uint32_t vcm =
-                routableVcMask_[std::size_t(node) * inPorts_ + port];
+                derived_.routableVcMask[std::size_t(node) * inPorts_ + port];
             while (vcm) {
                 const VcId v =
                     static_cast<VcId>(__builtin_ctz(vcm));
@@ -847,38 +817,30 @@ Network::routeOne(Router &rt, PortId port, VcId v,
     } else {
         routing_->route(node, vc.dst, port, v, candScratch_);
         ncand = static_cast<unsigned>(candScratch_.size());
-        if (ncand <= outPorts_) {
-            std::uint16_t *cp = &candPort_[flat * outPorts_];
-            std::uint32_t *cm = &candMask_[flat * outPorts_];
-            for (unsigned i = 0; i < ncand; ++i) {
-                cp[i] = candScratch_[i].port;
-                cm[i] = candScratch_[i].vcMask;
-            }
-            candCount_[flat] = static_cast<std::uint8_t>(ncand);
-            candMsg_[flat] = vc.msg;
-            cports = cp;
-            cmasks = cm;
-        } else {
-            // Wider than the cache line for this VC: spill, marked
-            // uncacheable so the next attempt re-routes.
-            candPortOv_.clear();
-            candMaskOv_.clear();
-            for (const auto &cand : candScratch_) {
-                candPortOv_.push_back(cand.port);
-                candMaskOv_.push_back(cand.vcMask);
-            }
-            candMsg_[flat] = kInvalidMsg;
-            cports = candPortOv_.data();
-            cmasks = candMaskOv_.data();
+        // Built-in routing functions emit distinct ports (ejection
+        // adds ejePorts of them), so a list always fits its cache slot.
+        if (ncand > outPorts_)
+            panic("routing function ", routing_->name(), " returned ",
+                  ncand, " candidates for ", outPorts_,
+                  " output ports at node ", node);
+        std::uint16_t *cp = &candPort_[flat * outPorts_];
+        std::uint32_t *cm = &candMask_[flat * outPorts_];
+        for (unsigned i = 0; i < ncand; ++i) {
+            cp[i] = candScratch_[i].port;
+            cm[i] = candScratch_[i].vcMask;
         }
+        candCount_[flat] = static_cast<std::uint8_t>(ncand);
+        candMsg_[flat] = vc.msg;
+        cports = cp;
+        cmasks = cm;
     }
 
     freeScratch_.clear();
     PortMask feasible = 0;
     const std::uint32_t *alloc =
-        &outAllocVcMask_[std::size_t(node) * outPorts_];
+        &derived_.outAllocVcMask[std::size_t(node) * outPorts_];
     const std::uint32_t *dfree =
-        &downFreeVcMask_[std::size_t(node) * outPorts_];
+        &derived_.downFreeVcMask[std::size_t(node) * outPorts_];
     for (unsigned i = 0; i < ncand; ++i) {
         const PortId q = static_cast<PortId>(cports[i]);
         if ((fault_mask >> q) & 1u)
@@ -991,13 +953,13 @@ Network::switchAll()
     // allocate, so the set only shrinks while iterating — and a port
     // whose last VC was just released yields no winner, same as the
     // exhaustive scan.
-    switchActive_.forEach([this](NodeId node) {
+    derived_.switchActive.forEach([this](NodeId node) {
         Router &rt = routers_[node];
         const PortMask fault_mask = deadOutMask(node);
         // Ports without an allocated VC have no switch candidates;
         // iterating the mask's set bits ascending preserves the full
         // scan's port order.
-        PortMask ports = allocOutMask_[node] & ~fault_mask;
+        PortMask ports = derived_.allocOutMask[node] & ~fault_mask;
         while (ports) {
             const PortId q = static_cast<PortId>(
                 __builtin_ctz(ports));
@@ -1010,7 +972,7 @@ Network::switchAll()
             // the round-robin pointer preserves the (rr + k) % vcs
             // probe order of the exhaustive scan.
             const std::uint32_t cand =
-                switchCandVcMask_[std::size_t(node) * outPorts_ + q];
+                derived_.switchCandVcMask[std::size_t(node) * outPorts_ + q];
             if (cand == 0)
                 continue;
             const unsigned rr = rt.saRoundRobin[q];
@@ -1063,28 +1025,13 @@ Network::transferFlit(Router &rt, PortId out_port, VcId out_vc,
 {
     const PortId in_port = out.srcPort;
     const VcId in_vc = out.srcVc;
-    WORMNET_ASSERT(&vc == &rt.inputVc(in_port, in_vc) &&
-                   &out == &rt.outputVc(out_port, out_vc));
+    WORMNET_ASSERT(&out == &rt.outputVc(out_port, out_vc));
 
     // Re-deriving the dead mask per transfer is a double fault-model
     // lookup — full-level only; switchAll already filtered the port.
     WORMNET_INVARIANT(!portFaulty(rt.nodeId(), out_port));
 
-    // Inlined popFlit(): the caller already resolved the input VC.
-    const Flit f = vc.fifo.pop();
-    const LinkEnd &up = rt.upstream(in_port);
-    if (up.valid())
-        creditReturns_.push_back(
-            CreditReturn{up.node, up.port, in_vc});
-    if (isTailFlit(f.type)) {
-        Message &m = messages_.get(f.msg);
-        WORMNET_ASSERT(m.numLinks() > 0);
-        WORMNET_INVARIANT(m.link(0).node == rt.nodeId() &&
-                          m.link(0).port == in_port &&
-                          m.link(0).vc == in_vc);
-        m.popFrontLink();
-        releaseInputVc(rt.nodeId(), in_port, in_vc);
-    }
+    const Flit f = popFlit(rt, in_port, in_vc, vc);
     ++flitHops_;
     rt.noteTx(out_port, now_);
     ++txCount_[std::size_t(rt.nodeId()) *
@@ -1103,8 +1050,8 @@ Network::transferFlit(Router &rt, PortId out_port, VcId out_vc,
         } else if (vc.fifo.empty()) {
             // Worm stretched thin: nothing buffered to eject until
             // the next flit arrives from upstream.
-            switchCandVcMask_[std::size_t(rt.nodeId()) * outPorts_ +
-                              out_port] &=
+            derived_.switchCandVcMask[std::size_t(rt.nodeId()) * outPorts_ +
+                                      out_port] &=
                 ~(std::uint32_t(1) << out_vc);
         }
         return;
@@ -1113,8 +1060,8 @@ Network::transferFlit(Router &rt, PortId out_port, VcId out_vc,
     WORMNET_ASSERT(out.credits > 0);
     if (--out.credits == 0 ||
         (!isTailFlit(f.type) && vc.fifo.empty()))
-        switchCandVcMask_[std::size_t(rt.nodeId()) * outPorts_ +
-                          out_port] &= ~(std::uint32_t(1) << out_vc);
+        derived_.switchCandVcMask[std::size_t(rt.nodeId()) * outPorts_ +
+                                  out_port] &= ~(std::uint32_t(1) << out_vc);
     const LinkEnd &down = rt.downstream(out_port);
     WORMNET_ASSERT(down.valid());
     enqueueFlit(routers_[down.node], down.port, out_vc,
@@ -1123,10 +1070,13 @@ Network::transferFlit(Router &rt, PortId out_port, VcId out_vc,
         releaseOutputVc(rt.nodeId(), out_port, out_vc);
 }
 
-Flit
-Network::popFlit(Router &rt, PortId port, VcId v)
+// Forced inline: transferFlit() runs once per flit hop, and the
+// out-of-line call GCC otherwise keeps cost the table2 benchmark
+// workload about 5% of its simulated cycles per second.
+[[gnu::always_inline]] inline Flit
+Network::popFlit(Router &rt, PortId port, VcId v, InputVc &vc)
 {
-    InputVc &vc = rt.inputVc(port, v);
+    WORMNET_ASSERT(&vc == &rt.inputVc(port, v));
     const Flit f = vc.fifo.pop();
 
     const LinkEnd &up = rt.upstream(port);
@@ -1161,13 +1111,13 @@ Network::enqueueFlit(Router &rt, PortId port, VcId v,
         syncRoutable(rt.nodeId(), port, v);
         detector_.onChannelOccupied(rt.nodeId(), port, v, flit.msg);
         if (port >= netPorts_) {
-            ++injVcBusy_[rt.nodeId()];
-            injActive_.insert(rt.nodeId());
+            ++derived_.injVcBusy[rt.nodeId()];
+            derived_.injActive.insert(rt.nodeId());
         } else {
             const LinkEnd &up = rt.upstream(port);
             if (up.valid())
-                downFreeVcMask_[std::size_t(up.node) * outPorts_ +
-                                up.port] &=
+                derived_.downFreeVcMask[std::size_t(up.node) * outPorts_ +
+                                        up.port] &=
                     ~(std::uint32_t(1) << v);
         }
     }
@@ -1180,8 +1130,8 @@ Network::enqueueFlit(Router &rt, PortId port, VcId v,
     if (was_empty && vc.routed && !vc.recovering) {
         const OutputVc &out = rt.outputVc(vc.outPort, vc.outVc);
         if (rt.isEjectionPort(vc.outPort) || out.credits > 0)
-            switchCandVcMask_[std::size_t(rt.nodeId()) * outPorts_ +
-                              vc.outPort] |=
+            derived_.switchCandVcMask[std::size_t(rt.nodeId()) * outPorts_ +
+                                      vc.outPort] |=
                 std::uint32_t(1) << vc.outVc;
     }
 }
@@ -1284,8 +1234,8 @@ Network::setHeadRecovering(MsgId msg)
     // A routed head leaving for the recovery path stops competing
     // for the switch; its output VC frees when the worm releases.
     if (vc.routed)
-        switchCandVcMask_[std::size_t(head.node) * outPorts_ +
-                          vc.outPort] &=
+        derived_.switchCandVcMask[std::size_t(head.node) * outPorts_ +
+                                  vc.outPort] &=
             ~(std::uint32_t(1) << vc.outVc);
     detector_.onHeadRecovering(head.node, head.port, head.vc);
 }
@@ -1326,7 +1276,7 @@ Network::drainHeaderFlit(MsgId msg, FlitType &type)
     WORMNET_ASSERT(vc.msg == msg && vc.recovering);
     if (vc.fifo.empty() || vc.fifo.front().readyAt > now_)
         return false;
-    const Flit f = popFlit(rt, head.port, head.vc);
+    const Flit f = popFlit(rt, head.port, head.vc, vc);
     ++m.flitsEjected; // consumed into the recovery buffer
     type = f.type;
     return true;
@@ -1349,35 +1299,24 @@ Network::detectorCycleEnd()
 void
 Network::runDetectorCycleEnd()
 {
-    if (!detectorIdleStable_) {
-        // The detector times even unoccupied channels (ungated PDM),
-        // so every node must hear about every cycle. The occupied
-        // mask still comes from the allocation counters instead of a
-        // per-port output-VC scan.
-        for (NodeId node = 0; node < numNodes(); ++node) {
-            // Dead channels (faulted or admin-removed) are not timed:
-            // they will never transmit, so their inactivity says
-            // nothing about deadlock.
-            const PortMask occupied =
-                allocOutMask_[node] & ~detectorDeadMask_[node];
-            detector_.onCycleEnd(node, txMask_[node], occupied, now_);
-        }
-        return;
-    }
-
-    // Idle-stable detector: a node with no transmissions and no
-    // allocated output VCs receives an idempotent (0, 0) call, so
-    // only active nodes need visiting. Each node gets one trailing
-    // call after going fully idle so per-channel state sees the
-    // transition before the node leaves the set. (Erasing while
-    // walking is safe: the word being scanned was copied, and a
-    // node erased from a later word would only have received
-    // another idempotent idle call.)
+    // An idle-stable detector treats a node with no transmissions and
+    // no allocated output VCs as an idempotent (0, 0) call, so only
+    // active nodes need visiting, plus one trailing call after a node
+    // goes fully idle so per-channel state sees the transition. Any
+    // other detector (ungated PDM, DWFG) times even unoccupied
+    // channels: detActive_ then holds every node and nothing leaves.
+    // (Erasing while walking is safe: the word being scanned was
+    // copied, and a node erased from a later word would only have
+    // received another idempotent idle call.)
     detActive_.forEach([this](NodeId node) {
+        // Dead channels (faulted or admin-removed) are not timed:
+        // they will never transmit, so their inactivity says nothing
+        // about deadlock.
         const PortMask occupied =
-            allocOutMask_[node] & ~detectorDeadMask_[node];
+            derived_.allocOutMask[node] & ~detectorDeadMask_[node];
         detector_.onCycleEnd(node, txMask_[node], occupied, now_);
-        if (txMask_[node] == 0 && allocOutMask_[node] == 0)
+        if (detectorIdleStable_ && txMask_[node] == 0 &&
+            derived_.allocOutMask[node] == 0)
             detActive_.erase(node);
     });
 }
@@ -1449,181 +1388,158 @@ Network::oracleTick()
 // The cross-check must fire whenever the runtime flag is on — even
 // on builds whose compile-time contract level stripped the check
 // macros — so it uses its own always-on check.
-#define ACTIVE_SET_CHECK(cond)                                         \
+#define DERIVED_CHECK(cond, what)                                      \
     do {                                                               \
         if (!(cond)) {                                                 \
-            panic("active-set cross-check failed: ", #cond, " at ",    \
-                  __FILE__, ":", __LINE__);                            \
+            panic("derived-state cross-check failed at cycle ", now_, \
+                  ": ", what, " (", #cond, ")");                       \
         }                                                              \
     } while (0)
 
 void
-Network::verifyActiveSets() const
+Network::recomputeDerived(DerivedState &out, bool install)
 {
-    // Brute-force recomputation of every incrementally maintained
-    // structure; the full contract level (WORMNET_CONTRACTS=full)
-    // enables it by default and WORMNET_CHECK_ACTIVE_SETS=1 forces
-    // it on any build. Runs at the end of step(), when all sets are
+    const NodeId n = numNodes();
+    out.routableVcMask.assign(std::size_t(n) * inPorts_, 0);
+    out.outAllocVcMask.assign(std::size_t(n) * outPorts_, 0);
+    out.downFreeVcMask.assign(std::size_t(n) * outPorts_, 0);
+    out.switchCandVcMask.assign(std::size_t(n) * outPorts_, 0);
+    out.allocOutMask.assign(n, 0);
+    out.injVcBusy.assign(n, 0);
+    out.injIncomplete.assign(n, 0);
+    out.routeActive.init(n);
+    out.switchActive.init(n);
+    out.injActive.init(n);
+    for (NodeId node = 0; node < n; ++node) {
+        Router &rt = routers_[node];
+        for (PortId p = 0; p < inPorts_; ++p) {
+            for (VcId v = 0; v < vcs_; ++v) {
+                InputVc &vc = rt.inputVc(p, v);
+                NodeId dst = kInvalidNode;
+                bool inj_done = false;
+                if (!vc.free()) {
+                    const Message &m = messages_.get(vc.msg);
+                    dst = m.dst;
+                    if (!vc.routed && !vc.recovering) {
+                        out.routableVcMask[std::size_t(node) * inPorts_ +
+                                           p] |= std::uint32_t(1) << v;
+                        out.routeActive.insert(node);
+                    }
+                    if (p >= netPorts_) {
+                        ++out.injVcBusy[node];
+                        inj_done = m.flitsInjected >= m.length;
+                        if (!inj_done)
+                            ++out.injIncomplete[node];
+                    }
+                }
+                if (install) {
+                    vc.dst = dst;
+                    vc.injDone = inj_done;
+                } else {
+                    DERIVED_CHECK(vc.dst == dst, "InputVc::dst differs");
+                    DERIVED_CHECK(vc.injDone == inj_done,
+                                  "InputVc::injDone differs");
+                }
+            }
+        }
+        for (PortId q = 0; q < outPorts_; ++q) {
+            const std::size_t idx = std::size_t(node) * outPorts_ + q;
+            for (VcId v = 0; v < vcs_; ++v) {
+                const std::uint32_t bit = std::uint32_t(1) << v;
+                if (downstreamVcFree(rt, q, v))
+                    out.downFreeVcMask[idx] |= bit;
+                const OutputVc &ovc = rt.outputVc(q, v);
+                if (!ovc.allocated)
+                    continue;
+                out.outAllocVcMask[idx] |= bit;
+                const InputVc &src = rt.inputVc(ovc.srcPort, ovc.srcVc);
+                if ((rt.isEjectionPort(q) || ovc.credits > 0) &&
+                    !src.recovering && !src.fifo.empty())
+                    out.switchCandVcMask[idx] |= bit;
+            }
+            if (out.outAllocVcMask[idx] != 0)
+                out.allocOutMask[node] |= PortMask(1) << q;
+        }
+        if (out.allocOutMask[node] != 0)
+            out.switchActive.insert(node);
+        if (!sourceQueues_[node].empty() || out.injVcBusy[node] > 0)
+            out.injActive.insert(node);
+        if (install && !detectorIdleStable_)
+            detActive_.insert(node);
+    }
+}
+
+void
+Network::verifyDerivedState()
+{
+    // Runs at the end of step(), when the incremental copy is
     // expected to be coherent.
+    DerivedState fresh;
+    recomputeDerived(fresh, false);
+#define DERIVED_FIELD(field)                                           \
+    DERIVED_CHECK(fresh.field == derived_.field,                       \
+                  #field " differs from a fresh recompute")
+    DERIVED_FIELD(routableVcMask);
+    DERIVED_FIELD(outAllocVcMask);
+    DERIVED_FIELD(downFreeVcMask);
+    DERIVED_FIELD(switchCandVcMask);
+    DERIVED_FIELD(allocOutMask);
+    DERIVED_FIELD(injVcBusy);
+    DERIVED_FIELD(injIncomplete);
+    DERIVED_FIELD(routeActive);
+    DERIVED_FIELD(switchActive);
+    DERIVED_FIELD(injActive);
+#undef DERIVED_FIELD
+
+    std::vector<RouteCandidate> cands;
     std::size_t queued = 0;
     std::size_t tx_nodes = 0;
     for (NodeId node = 0; node < numNodes(); ++node) {
         queued += sourceQueues_[node].size();
         if (txMask_[node] != 0)
             ++tx_nodes;
-        const Router &rt = routers_[node];
-
-        unsigned node_routable = 0;
-        unsigned inj_busy = 0;
-        for (PortId p = 0; p < inPorts_; ++p) {
-            unsigned port_routable = 0;
-            for (VcId v = 0; v < vcs_; ++v) {
-                const InputVc &vc = rt.inputVc(p, v);
-                const bool want = vc.msg != kInvalidMsg &&
-                                  !vc.routed && !vc.recovering;
-                ACTIVE_SET_CHECK(vc.inRouteSet == want);
-                if (want)
-                    ++port_routable;
-                if (p >= netPorts_ && vc.msg != kInvalidMsg)
-                    ++inj_busy;
-            }
-            ACTIVE_SET_CHECK(routablePerPort_[std::size_t(node) * inPorts_ +
-                                       p] == port_routable);
-            node_routable += port_routable;
-        }
-        ACTIVE_SET_CHECK(routablePerNode_[node] == node_routable);
-        ACTIVE_SET_CHECK(routeActive_.contains(node) ==
-                  (node_routable > 0));
-
-        unsigned node_alloc = 0;
-        unsigned net_alloc = 0;
-        PortMask mask = 0;
-        for (PortId q = 0; q < outPorts_; ++q) {
-            unsigned port_alloc = 0;
-            for (VcId v = 0; v < vcs_; ++v) {
-                if (rt.outputVc(q, v).allocated) {
-                    ++port_alloc;
-                    if (q < netPorts_)
-                        ++net_alloc;
-                }
-            }
-            ACTIVE_SET_CHECK(allocPerPort_[std::size_t(node) * outPorts_ +
-                                    q] == port_alloc);
-            if (port_alloc > 0)
-                mask |= PortMask(1) << q;
-            node_alloc += port_alloc;
-        }
-        ACTIVE_SET_CHECK(allocOutMask_[node] == mask);
-        ACTIVE_SET_CHECK(allocPerNode_[node] == node_alloc);
-        ACTIVE_SET_CHECK(switchActive_.contains(node) == (node_alloc > 0));
-        ACTIVE_SET_CHECK(netAllocPerNode_[node] == net_alloc);
-
-        ACTIVE_SET_CHECK(injVcBusy_[node] == inj_busy);
-        ACTIVE_SET_CHECK(injActive_.contains(node) ==
-                  (!sourceQueues_[node].empty() || inj_busy > 0));
-
         // detActive_ is checked for soundness, not exact equality: it
         // may hold an idle node for one trailing cycle-end call, but
         // must cover every node the detector still needs to see.
-        if (node_alloc > 0 || txMask_[node] != 0)
-            ACTIVE_SET_CHECK(detActive_.contains(node));
-    }
-    ACTIVE_SET_CHECK(totalQueuedCount_ == queued);
-    ACTIVE_SET_CHECK(txNodes_.size() == tx_nodes);
-}
-
-void
-Network::verifySoaState() const
-{
-    // Brute-force recomputation of everything the SoA layout derives
-    // incrementally: the per-port VC bitmasks routeOne consumes, the
-    // per-VC dst/injDone caches, and the route-candidate cache. The
-    // full contract level enables it by default; WORMNET_CHECK_SOA=1
-    // forces it on any build. Runs at the end of step(), like
-    // verifyActiveSets().
-    std::vector<RouteCandidate> fresh;
-    for (NodeId node = 0; node < numNodes(); ++node) {
-        const Router &rt = routers_[node];
+        if (!detectorIdleStable_ || derived_.allocOutMask[node] != 0 ||
+            txMask_[node] != 0)
+            DERIVED_CHECK(detActive_.contains(node),
+                          "detActive_ misses a node with work");
 
         // Routers must still be views over the global store.
-        ACTIVE_SET_CHECK(rt.inputVcs() == vcStore_.inBase(node));
-        ACTIVE_SET_CHECK(rt.outputVcs() == vcStore_.outBase(node));
+        const Router &rt = routers_[node];
+        DERIVED_CHECK(rt.inputVcs() == vcStore_.inBase(node) &&
+                          rt.outputVcs() == vcStore_.outBase(node),
+                      "router is not a view into the VC store");
 
-        for (PortId q = 0; q < outPorts_; ++q) {
-            std::uint32_t alloc = 0;
-            std::uint32_t dfree = 0;
-            std::uint32_t scand = 0;
-            for (VcId v = 0; v < vcs_; ++v) {
-                const OutputVc &ovc = rt.outputVc(q, v);
-                if (ovc.allocated)
-                    alloc |= std::uint32_t(1) << v;
-                if (downstreamVcFree(rt, q, v))
-                    dfree |= std::uint32_t(1) << v;
-                if (ovc.allocated &&
-                    (rt.isEjectionPort(q) || ovc.credits > 0)) {
-                    const InputVc &src =
-                        rt.inputVc(ovc.srcPort, ovc.srcVc);
-                    if (!src.recovering && !src.fifo.empty())
-                        scand |= std::uint32_t(1) << v;
-                }
-            }
-            const std::size_t idx =
-                std::size_t(node) * outPorts_ + q;
-            ACTIVE_SET_CHECK(outAllocVcMask_[idx] == alloc);
-            ACTIVE_SET_CHECK(downFreeVcMask_[idx] == dfree);
-            ACTIVE_SET_CHECK(switchCandVcMask_[idx] == scand);
-        }
-
-        unsigned busy = 0;
-        unsigned incomplete = 0;
+        // A cache entry must reproduce a fresh route() call for its
+        // occupant (ids are never recycled, so the cached msg pins
+        // the dst even after delivery).
         for (PortId p = 0; p < inPorts_; ++p) {
-            std::uint32_t routable = 0;
             for (VcId v = 0; v < vcs_; ++v) {
-                const InputVc &vc = rt.inputVc(p, v);
                 const std::size_t flat =
                     (std::size_t(node) * inPorts_ + p) * vcs_ + v;
-                if (vc.inRouteSet)
-                    routable |= std::uint32_t(1) << v;
-                if (vc.msg != kInvalidMsg) {
-                    const Message &m = messages_.get(vc.msg);
-                    ACTIVE_SET_CHECK(vc.dst == m.dst);
-                    if (p >= netPorts_) {
-                        ++busy;
-                        ACTIVE_SET_CHECK(vc.injDone ==
-                                         (m.flitsInjected >=
-                                          m.length));
-                        if (!vc.injDone)
-                            ++incomplete;
-                    }
-                } else {
-                    ACTIVE_SET_CHECK(vc.dst == kInvalidNode);
-                    ACTIVE_SET_CHECK(!vc.injDone);
-                }
-                // A cache entry must reproduce a fresh route() call
-                // for its occupant (ids are never recycled, so the
-                // cached msg pins the dst even after delivery).
                 if (candMsg_[flat] == kInvalidMsg)
                     continue;
                 const Message &cm = messages_.get(candMsg_[flat]);
-                routing_->route(node, cm.dst, p, v, fresh);
-                ACTIVE_SET_CHECK(fresh.size() <= outPorts_);
-                ACTIVE_SET_CHECK(candCount_[flat] == fresh.size());
-                for (std::size_t i = 0; i < fresh.size(); ++i) {
-                    ACTIVE_SET_CHECK(
-                        candPort_[flat * outPorts_ + i] ==
-                        fresh[i].port);
-                    ACTIVE_SET_CHECK(
-                        candMask_[flat * outPorts_ + i] ==
-                        fresh[i].vcMask);
+                routing_->route(node, cm.dst, p, v, cands);
+                DERIVED_CHECK(candCount_[flat] == cands.size(),
+                              "candCount_ differs from route()");
+                for (std::size_t i = 0; i < cands.size(); ++i) {
+                    DERIVED_CHECK(candPort_[flat * outPorts_ + i] ==
+                                      cands[i].port,
+                                  "candPort_ differs from route()");
+                    DERIVED_CHECK(candMask_[flat * outPorts_ + i] ==
+                                      cands[i].vcMask,
+                                  "candMask_ differs from route()");
                 }
             }
-            ACTIVE_SET_CHECK(
-                routableVcMask_[std::size_t(node) * inPorts_ + p] ==
-                routable);
         }
-        ACTIVE_SET_CHECK(injVcBusy_[node] == busy);
-        ACTIVE_SET_CHECK(injIncomplete_[node] == incomplete);
     }
+    DERIVED_CHECK(totalQueuedCount_ == queued,
+                  "totalQueuedCount_ differs from the queue sum");
+    DERIVED_CHECK(txNodes_.size() == tx_nodes,
+                  "txNodes_ differs from the transmitting nodes");
 }
 
 void
@@ -1759,95 +1675,11 @@ Network::loadState(Deserializer &d)
     }
 
     // Rebuild everything derived from the restored router state.
-    const NodeId n = numNodes();
-    routeActive_.init(n);
-    std::fill(routablePerPort_.begin(), routablePerPort_.end(), 0);
-    std::fill(routablePerNode_.begin(), routablePerNode_.end(), 0);
-    switchActive_.init(n);
-    std::fill(allocPerPort_.begin(), allocPerPort_.end(), 0);
-    std::fill(allocPerNode_.begin(), allocPerNode_.end(), 0);
-    std::fill(allocOutMask_.begin(), allocOutMask_.end(), 0);
-    std::fill(netAllocPerNode_.begin(), netAllocPerNode_.end(), 0);
-    injActive_.init(n);
-    std::fill(injVcBusy_.begin(), injVcBusy_.end(), 0);
-    std::fill(outAllocVcMask_.begin(), outAllocVcMask_.end(), 0);
-    std::fill(routableVcMask_.begin(), routableVcMask_.end(), 0);
-    std::fill(switchCandVcMask_.begin(), switchCandVcMask_.end(), 0);
-    std::fill(injIncomplete_.begin(), injIncomplete_.end(), 0);
-    const std::uint32_t all_vcs = (std::uint32_t(1) << vcs_) - 1;
-    for (NodeId node = 0; node < n; ++node) {
-        Router &rt = routers_[node];
-        for (PortId p = 0; p < inPorts_; ++p) {
-            for (VcId v = 0; v < vcs_; ++v) {
-                InputVc &vc = rt.inputVc(p, v);
-                const bool want = vc.msg != kInvalidMsg &&
-                                  !vc.routed && !vc.recovering;
-                if (want) {
-                    vc.inRouteSet = true;
-                    ++routablePerPort_[std::size_t(node) * inPorts_ +
-                                       p];
-                    routableVcMask_[std::size_t(node) * inPorts_ +
-                                    p] |= std::uint32_t(1) << v;
-                    if (routablePerNode_[node]++ == 0)
-                        routeActive_.insert(node);
-                }
-                if (vc.msg != kInvalidMsg) {
-                    // Derived caches the wire format omits.
-                    const Message &m = messages_.get(vc.msg);
-                    vc.dst = m.dst;
-                    if (p >= netPorts_) {
-                        ++injVcBusy_[node];
-                        vc.injDone = m.flitsInjected >= m.length;
-                        if (!vc.injDone)
-                            ++injIncomplete_[node];
-                    }
-                }
-            }
-        }
-        for (PortId q = 0; q < outPorts_; ++q) {
-            // A lane is downstream-free when its receiving input VC
-            // is unoccupied with an empty buffer (always for
-            // ejection, never for dangling mesh-edge ports).
-            std::uint32_t dfree = 0;
-            if (rt.isEjectionPort(q)) {
-                dfree = all_vcs;
-            } else if (rt.downstream(q).valid()) {
-                const LinkEnd &down = rt.downstream(q);
-                for (VcId v = 0; v < vcs_; ++v) {
-                    const InputVc &dvc =
-                        routers_[down.node].inputVc(down.port, v);
-                    if (dvc.free() && dvc.fifo.empty())
-                        dfree |= std::uint32_t(1) << v;
-                }
-            }
-            downFreeVcMask_[std::size_t(node) * outPorts_ + q] =
-                dfree;
-            for (VcId v = 0; v < vcs_; ++v) {
-                const OutputVc &ovc = rt.outputVc(q, v);
-                if (!ovc.allocated)
-                    continue;
-                outAllocVcMask_[std::size_t(node) * outPorts_ + q] |=
-                    std::uint32_t(1) << v;
-                const InputVc &src =
-                    rt.inputVc(ovc.srcPort, ovc.srcVc);
-                if ((rt.isEjectionPort(q) || ovc.credits > 0) &&
-                    !src.recovering && !src.fifo.empty())
-                    switchCandVcMask_[std::size_t(node) * outPorts_ +
-                                      q] |= std::uint32_t(1) << v;
-                if (allocPerPort_[std::size_t(node) * outPorts_ +
-                                  q]++ == 0)
-                    allocOutMask_[node] |= PortMask(1) << q;
-                if (allocPerNode_[node]++ == 0)
-                    switchActive_.insert(node);
-                if (q < netPorts_)
-                    ++netAllocPerNode_[node];
-            }
-        }
-        syncInjActive(node);
-        // The serialized detector state already reflects the dead
-        // ports at save time; only the derived mirror is rebuilt.
+    recomputeDerived(derived_, true);
+    // The serialized detector state already reflects the dead ports
+    // at save time; only the derived mirror is rebuilt.
+    for (NodeId node = 0; node < numNodes(); ++node)
         detectorDeadMask_[node] = deadOutMask(node);
-    }
     invalidateRouteCache();
 
     // Per-cycle scratch and memoisation: clean slate.

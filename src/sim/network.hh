@@ -348,12 +348,12 @@ class Network
     void switchAll();
     /** Move the winning flit of (out_port, out_vc) across the
      *  switch. @p out / @p vc are the already-resolved output VC and
-     *  its routed source input VC (the pop is inlined here). */
+     *  its routed source input VC. */
     void transferFlit(Router &rt, PortId out_port, VcId out_vc,
                       OutputVc &out, InputVc &vc);
     void detectorCycleEnd();
-    /** The per-node cycle-end sweep itself (exhaustive or
-     *  active-set), without the control-traffic poll. */
+    /** The per-node cycle-end sweep over detActive_, without the
+     *  control-traffic poll. */
     void runDetectorCycleEnd();
     void oracleTick();
 
@@ -390,9 +390,10 @@ class Network
     void enqueueFlit(Router &rt, PortId port, VcId vc,
                      const Flit &flit);
 
-    /** Pop the front flit of (router, port, vc) with tail/credit
+    /** Pop the front flit of input VC @p vc — (router, port, v),
+     *  already resolved by the caller — with the tail/credit
      *  bookkeeping shared by switch traversal and recovery drain. */
-    Flit popFlit(Router &rt, PortId port, VcId vc);
+    Flit popFlit(Router &rt, PortId port, VcId v, InputVc &vc);
 
     /** Apply queued credit returns (creditReturns_) to their output
      *  VCs, re-arming switch candidates that come off zero credits
@@ -402,15 +403,15 @@ class Network
     /** Injection-limitation check for @p node. */
     bool injectionAllowed(NodeId node) const;
 
-    /** @name Activity-set maintenance (see docs/MECHANISMS.md).
+    /** @name Derived-state maintenance (see docs/MECHANISMS.md).
      *
-     * The per-cycle phases iterate small active sets instead of
-     * scanning every node x port x VC. Membership is updated at the
-     * state transitions below; every set iterates in ascending node
-     * order (and the unmodified inner port/VC order), which keeps the
-     * cycle-level behaviour bitwise-identical to exhaustive scans.
+     * The per-cycle phases iterate small active sets and packed VC
+     * masks (DerivedState) instead of scanning every node x port x
+     * VC. They are updated at the state transitions below.
      */
     /// @{
+    struct DerivedState;
+
     /** Re-derive (node, port, vc)'s routable-head set membership
      *  after any mutation of its msg/routed/recovering state. */
     void syncRoutable(NodeId node, PortId port, VcId vc);
@@ -442,12 +443,24 @@ class Network
     /** Pop the front of @p node's source queue with counter upkeep. */
     MsgId popSource(NodeId node);
 
-    /** Cross-check every active set against a brute-force scan
-     *  (a full-level structural invariant: on by default when built
-     *  with WORMNET_CONTRACTS=full, and forced on/off by the
-     *  WORMNET_CHECK_ACTIVE_SETS environment variable; panics on
-     *  the first divergence). */
-    void verifyActiveSets() const;
+    /**
+     * Derive every structure in DerivedState from the authoritative
+     * InputVc/OutputVc/Message/source-queue state into @p out. With
+     * @p install (construction, checkpoint load) it also writes the
+     * per-VC caches InputVc::dst and injDone and, for detectors that
+     * are not idle-cycle-end stable, seeds detActive_ with every
+     * node; otherwise it panics if those caches disagree.
+     */
+    void recomputeDerived(DerivedState &out, bool install);
+
+    /** Recompute the derived state into scratch and compare it field
+     *  by field with the incremental copy, plus the checks a
+     *  recompute cannot make (route cache, detActive_ coverage,
+     *  router views, queue and transmit counters). Panics naming the
+     *  first field that differs. On by default when built with
+     *  WORMNET_CONTRACTS=full; the WORMNET_CHECK_ACTIVE_SETS
+     *  environment variable forces it on or off. */
+    void verifyDerivedState();
     /// @}
 
     /** Record a deadlock verdict for @p msg and invoke recovery. */
@@ -534,44 +547,78 @@ class Network
     /** Fault-filtered candidates handed to onBlockedCandidates(). */
     std::vector<BlockedCandidate> blockedCandScratch_;
 
-    /** @name Activity-driven core state.
-     *
-     * Counters are exact (every transition goes through the helpers
-     * above); the bitsets are derived from them. detActive_ is the
-     * one history-bearing set: a node stays in it for one trailing
-     * cycle-end call after going idle, so idle-stable detectors see
-     * their final (0, 0) reset before the node is dropped.
-     */
-    /// @{
     /** Cached router shape (hoisted out of the per-cycle loops). */
     unsigned inPorts_ = 0;
     unsigned outPorts_ = 0;
     unsigned vcs_ = 0;
     unsigned netPorts_ = 0;
+    /** Injection VC slots per node (injPorts * vcs). */
+    unsigned injSlots_ = 0;
 
-    /** Nodes with >= 1 input VC holding an unrouted head. */
-    NodeBitset routeActive_;
-    /** Routable input VCs per (node, in_port) / per node. */
-    std::vector<std::uint16_t> routablePerPort_;
-    std::vector<std::uint16_t> routablePerNode_;
+    /**
+     * Everything the per-cycle phases derive from the authoritative
+     * InputVc/OutputVc/Message/source-queue state (see
+     * docs/MECHANISMS.md). Maintained incrementally at the state
+     * transitions above, never serialized: recomputeDerived() builds
+     * it at construction and checkpoint load, and
+     * verifyDerivedState() rebuilds a scratch copy to check it.
+     * Every node set iterates in ascending node order (and the
+     * unmodified inner port/VC order), which keeps the cycle-level
+     * behaviour bitwise-identical to exhaustive scans.
+     */
+    struct DerivedState
+    {
+        /** Per (node, in_port): bit v set when inputVc(port, v) holds
+         *  an unrouted, non-recovering head. Lets the routing phase
+         *  visit exactly the routable VCs. */
+        std::vector<std::uint32_t> routableVcMask;
+        /** Per (node, out_port): bit v set when outputVc(port, v) is
+         *  allocated, so the routing phase tests a whole physical
+         *  channel in one load. */
+        std::vector<std::uint32_t> outAllocVcMask;
+        /** Per (node, out_port): bit v set when the downstream input
+         *  VC on lane v can accept a new worm (free with an empty
+         *  buffer). All-ones for ejection ports, zero for dangling
+         *  mesh-edge ports; maintained at head enqueue and input-VC
+         *  release. */
+        std::vector<std::uint32_t> downFreeVcMask;
+        /** Per (node, out_port): bit v set when outputVc(port, v) is
+         *  allocated, has credit to move a flit (ejection ports don't
+         *  consume credits, so any allocation qualifies there), and
+         *  its routed source VC holds a buffered flit and is not
+         *  recovering. The switch arbiter scans only these; the
+         *  cycle-local conditions (flit ready this cycle, not routed
+         *  this very cycle) are re-checked on load. Blocked worms
+         *  stretched thin — credits in hand but nothing buffered to
+         *  send — carry a clear bit, which is what keeps
+         *  saturated-network switch scans short. */
+        std::vector<std::uint32_t> switchCandVcMask;
+        /** Per node: bit q set when outAllocVcMask of port q is
+         *  nonzero (the detector's occupied mask, the switch phase's
+         *  port walk). */
+        std::vector<PortMask> allocOutMask;
+        /** Per node: occupied injection-port VCs, and those still
+         *  mid-injection (flitsInjected < length). When every
+         *  injection VC is busy and none is mid-injection,
+         *  tryStartInjection can do nothing — the common state of a
+         *  saturated node — and is skipped. */
+        std::vector<std::uint16_t> injVcBusy;
+        std::vector<std::uint16_t> injIncomplete;
+        /** Nodes with a nonzero routableVcMask word. */
+        NodeBitset routeActive;
+        /** Nodes with a nonzero allocOutMask. */
+        NodeBitset switchActive;
+        /** Nodes with a nonempty source queue or an occupied
+         *  injection VC (the only ones tryStartInjection can do
+         *  anything for). */
+        NodeBitset injActive;
+    };
+    DerivedState derived_;
 
-    /** Nodes with >= 1 allocated output VC. */
-    NodeBitset switchActive_;
-    /** Allocated output VCs per (node, out_port) / per node, the
-     *  derived per-node port mask, and the network-ports-only count
-     *  feeding the injection-limitation check. */
-    std::vector<std::uint8_t> allocPerPort_;
-    std::vector<std::uint16_t> allocPerNode_;
-    std::vector<PortMask> allocOutMask_;
-    std::vector<std::uint16_t> netAllocPerNode_;
-
-    /** Nodes with a nonempty source queue or an occupied injection
-     *  VC (the only ones tryStartInjection can do anything for). */
-    NodeBitset injActive_;
-    std::vector<std::uint16_t> injVcBusy_;
-
-    /** Nodes owed a detector cycle-end call (active now, or active
-     *  at their previous call: one trailing reset call). */
+    /** Nodes owed a detector cycle-end call. With an idle-stable
+     *  detector: active now, or active at their previous call (one
+     *  trailing reset call). Otherwise: every node, always. This is
+     *  the one history-bearing set, so it is serialized. */
     NodeBitset detActive_;
     /** The attached detector tolerates skipping idle routers. */
     bool detectorIdleStable_ = false;
@@ -584,80 +631,30 @@ class Network
      *  the next step() instead of re-filling the whole vector). */
     std::vector<NodeId> txNodes_;
 
-    /** Snapshot buffers for iterating the bitsets. */
-    std::vector<NodeId> nodeScratch_;
-
-    /** Messages waiting in all source queues (satellite: totalQueued
-     *  used to re-sum every queue per call). */
+    /** Messages waiting in all source queues (so totalQueued() need
+     *  not re-sum every queue per call). */
     std::size_t totalQueuedCount_ = 0;
 
-    /** Brute-force cross-check of every set each cycle. */
+    /** Run verifyDerivedState() at the end of every step(). */
     bool checkActiveSets_ = false;
-    /// @}
 
-    /** @name Struct-of-arrays hot-path state.
+    /** @name Route-candidate cache.
      *
-     * Incrementally maintained VC-occupancy masks plus a per-input-VC
-     * route-candidate cache. All of it is derived from router/message
-     * state (rebuilt on checkpoint load, cross-checked against a
-     * brute-force recomputation by verifySoaState() when built with
-     * WORMNET_CONTRACTS=full or forced via WORMNET_CHECK_SOA=1).
+     * Keyed by flat input-VC id: the routing function is pure in
+     * (node, dst, in_port, in_vc), so a blocked head re-presents
+     * identical candidates every cycle until it is granted. candMsg_
+     * names the message an entry describes (kInvalidMsg = empty);
+     * entries are invalidated in bulk whenever the routing relation
+     * changes or state is restored from a checkpoint.
      */
     /// @{
-    /** Per (node, out_port): bit v set when outputVc(port, v) is
-     *  allocated. Mirrors allocPerPort_ at VC granularity so the
-     *  routing phase tests a whole physical channel in one load. */
-    std::vector<std::uint32_t> outAllocVcMask_;
-    /** Per (node, out_port): bit v set when the downstream input VC
-     *  on lane v can accept a new worm (free with an empty buffer).
-     *  All-ones for ejection ports, zero for dangling mesh-edge
-     *  ports; maintained at head-enqueue and input-VC release. */
-    std::vector<std::uint32_t> downFreeVcMask_;
-
-    /** Route-candidate cache, keyed by flat input-VC id: the routing
-     *  function is pure in (node, dst, in_port, in_vc), so a blocked
-     *  head re-presents identical candidates every cycle until it is
-     *  granted. candMsg_ names the message an entry describes
-     *  (kInvalidMsg = empty/uncacheable); entries are invalidated in
-     *  bulk whenever the routing relation changes. */
     std::vector<MsgId> candMsg_;
     std::vector<std::uint8_t> candCount_;
     std::vector<std::uint16_t> candPort_; ///< [flatIn * outPorts_ + i]
     std::vector<std::uint32_t> candMask_;
-    /** Spill buffers for candidate lists wider than outPorts_. */
-    std::vector<std::uint16_t> candPortOv_;
-    std::vector<std::uint32_t> candMaskOv_;
 
-    /** Per (node, in_port): bit v set when inputVc(port, v) holds an
-     *  unrouted, non-recovering head (== inRouteSet). Lets the
-     *  routing phase visit exactly the routable VCs. */
-    std::vector<std::uint32_t> routableVcMask_;
-    /** Per (node, out_port): bit v set when outputVc(port, v) is
-     *  allocated, has credit to move a flit (ejection ports don't
-     *  consume credits, so any allocation qualifies there), and its
-     *  routed source VC holds a buffered flit and is not recovering.
-     *  The switch arbiter scans only these; the cycle-local
-     *  conditions (flit ready this cycle, not routed this very
-     *  cycle) are re-checked on load. Blocked worms stretched thin
-     *  — credits in hand but nothing buffered to send — carry a
-     *  clear bit, which is what keeps saturated-network switch
-     *  scans short. */
-    std::vector<std::uint32_t> switchCandVcMask_;
-    /** Per node: occupied injection-port VCs still mid-injection
-     *  (flitsInjected < length). When every injection VC is busy and
-     *  none is mid-injection, tryStartInjection can do nothing —
-     *  the common state of a saturated node — and is skipped. */
-    std::vector<std::uint16_t> injIncomplete_;
-    /** Injection VC slots per node (injPorts * vcs). */
-    unsigned injSlots_ = 0;
-
-    /** Brute-force cross-check of the SoA mirrors each cycle. */
-    bool checkSoa_ = false;
-
-    /** Drop every candidate-cache entry (routing relation changed
-     *  or state restored from a checkpoint). */
+    /** Drop every candidate-cache entry. */
     void invalidateRouteCache();
-    void verifySoaState() const;
     /// @}
 
     /** @name Phase-timer state (see enablePhaseTimers()). */

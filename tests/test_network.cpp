@@ -9,6 +9,12 @@
 
 #include "common/log.hh"
 #include "core/simulation.hh"
+#include "detection/timeout.hh"
+#include "routing/routing.hh"
+#include "sim/network.hh"
+#include "topology/torus.hh"
+#include "traffic/length.hh"
+#include "traffic/pattern.hh"
 
 namespace wormnet
 {
@@ -330,6 +336,45 @@ TEST(Network, BigTorusSpotCheck)
     const SimSummary s = sim.warmupAndMeasure(500, 1500);
     EXPECT_GT(s.delivered, 2000u);
     EXPECT_NEAR(s.acceptedFlitRate, 0.1, 0.02);
+}
+
+/** Offers one candidate more than the router has output ports. */
+class OverlongRouting : public TrueFullyAdaptiveRouting
+{
+  public:
+    using TrueFullyAdaptiveRouting::TrueFullyAdaptiveRouting;
+
+  protected:
+    void
+    networkCandidates(NodeId, NodeId, PortId, VcId,
+                      std::vector<RouteCandidate> &out) const override
+    {
+        for (unsigned i = 0; i <= params_.numOutPorts(); ++i)
+            out.push_back(RouteCandidate{0, allVcsMask()});
+    }
+};
+
+TEST(Network, OverlongCandidateListPanics)
+{
+    // The route-candidate cache holds one slot per output port; a
+    // routing function that offers more is an internal error, never
+    // silently spilled.
+    KAryNCube topo(4, 2);
+    UniformPattern pattern(topo);
+    FixedLength lengths(4);
+    NetworkParams np;
+    RouterParams rp;
+    rp.netPorts = topo.numNetPorts();
+    rp.injPorts = np.injPorts;
+    rp.ejePorts = np.ejePorts;
+    rp.vcs = np.vcs;
+    rp.bufDepth = np.bufDepth;
+    OverlongRouting routing(topo, rp);
+    NullDetector det;
+    Network net(topo, np, routing, det, nullptr, pattern, lengths, 0.0,
+                1);
+    net.injectMessage(0, 5, 4);
+    EXPECT_THROW(net.run(8), PanicError);
 }
 
 } // namespace

@@ -147,13 +147,6 @@ TEST(Router, OccupancyHelpers)
     EXPECT_FALSE(rt.inputPcFullyBusy(0));
     rt.inputVc(0, 1).msg = 2;
     EXPECT_TRUE(rt.inputPcFullyBusy(0));
-
-    EXPECT_FALSE(rt.outputPcOccupied(1));
-    rt.outputVc(1, 1).allocated = true;
-    EXPECT_TRUE(rt.outputPcOccupied(1));
-    EXPECT_EQ(rt.busyNetworkOutputVcs(), 1u);
-    rt.outputVc(2, 0).allocated = true; // ejection port: not counted
-    EXPECT_EQ(rt.busyNetworkOutputVcs(), 1u);
 }
 
 TEST(Router, CreditsStartFull)
