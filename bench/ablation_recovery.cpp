@@ -49,7 +49,9 @@ main(int argc, char **argv)
     table.addSeparator();
     for (const auto &r : rows) {
         SimulationConfig cfg = opts.base;
-        cfg.lengths = "s";
+        // A temporary, not = "s": GCC 12 reports a false -Wrestrict
+        // overlap in string::operator=(const char *) here.
+        cfg.lengths = std::string("s");
         cfg.vcs = r.vcs;
         cfg.injectionLimit = r.limiter;
         cfg.flitRate =

@@ -70,7 +70,9 @@ parseBenchArgs(int argc, char **argv, const std::string &pattern,
                      opts.base.pattern.c_str());
         SimulationConfig probe = opts.base;
         probe.detector = "ndm:32";
-        probe.lengths = "s";
+        // A temporary, not = "s": GCC 12 reports a false -Wrestrict
+        // overlap in string::operator=(const char *) here.
+        probe.lengths = std::string("s");
         const ExperimentRunner runner({}, opts.jobs);
         opts.satRate = runner.findSaturationRate(
             probe, 0.02, opts.base.injPorts * 1.0);
@@ -136,72 +138,7 @@ runTableBench(const std::string &title, const BenchOptions &opts,
                          : 0.0);
     }
 
-    // Render: measured value, then the paper's value in parentheses
-    // when the paper reports this (threshold, rate, size) point.
-    const std::size_t sizes = size_classes.size();
-    TextTable table(1 + spec.rates.size() * sizes);
-    {
-        std::vector<std::string> row(table.numColumns());
-        row[0] = "";
-        for (std::size_t r = 0; r < spec.rates.size(); ++r)
-            row[1 + r * sizes] = spec.rateLabels[r];
-        table.addRow(std::move(row));
-    }
-    {
-        std::vector<std::string> row(table.numColumns());
-        row[0] = "M. Size";
-        for (std::size_t r = 0; r < spec.rates.size(); ++r) {
-            for (std::size_t s = 0; s < sizes; ++s) {
-                bool starred = false;
-                for (const auto &cell : result.cells[r][s])
-                    starred |= cell.sawTrueDeadlock;
-                row[1 + r * sizes + s] =
-                    size_classes[s] + (starred ? " (*)" : "");
-            }
-        }
-        table.addRow(std::move(row));
-    }
-    table.addSeparator();
-
-    for (std::size_t t = 0; t < spec.thresholds.size(); ++t) {
-        std::vector<std::string> row(table.numColumns());
-        {
-            std::ostringstream os;
-            os << "Th " << spec.thresholds[t];
-            row[0] = os.str();
-        }
-        // Paper row for this threshold, if reported.
-        std::ptrdiff_t paper_row = -1;
-        if (paper) {
-            for (std::size_t pt = 0; pt < paper->thresholds.size();
-                 ++pt) {
-                if (paper->thresholds[pt] == spec.thresholds[t]) {
-                    paper_row = static_cast<std::ptrdiff_t>(pt);
-                    break;
-                }
-            }
-        }
-        for (std::size_t r = 0; r < spec.rates.size(); ++r) {
-            for (std::size_t s = 0; s < sizes; ++s) {
-                const CellResult &cell = result.cells[r][s][t];
-                std::string text =
-                    formatPercentPaperStyle(cell.detectionRate);
-                if (paper_row >= 0) {
-                    const double ref =
-                        paper->values[paper_row * spec.rates.size() *
-                                          sizes +
-                                      r * sizes + s];
-                    if (ref >= 0.0)
-                        text += " (" +
-                                formatPercentPaperStyle(ref / 100.0) +
-                                ")";
-                }
-                row[1 + r * sizes + s] = std::move(text);
-            }
-        }
-        table.addRow(std::move(row));
-    }
-
+    const TextTable table = ExperimentRunner::formatTable(result, paper);
     std::printf("%s\n", title.c_str());
     std::printf("network: %u-ary %u-%s, %u VCs, routing %s, "
                 "recovery %s, pattern %s\n",

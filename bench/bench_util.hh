@@ -48,16 +48,6 @@ namespace wormnet
 namespace bench
 {
 
-/** The paper's reference values for one table. */
-struct PaperRef
-{
-    /** Thresholds the paper reports (row labels). */
-    std::vector<Cycle> thresholds;
-    /** Percentages, [threshold][rate * sizes + size]; the paper has
-     *  4 rate groups in every table. */
-    std::vector<double> values;
-};
-
 /** Everything a table bench needs. */
 struct BenchOptions
 {

@@ -16,7 +16,7 @@
 namespace
 {
 
-using wormnet::bench::PaperRef;
+using wormnet::PaperRef;
 
 // Paper Table 1, percentages; columns are [s, l, L, sl] for each of
 // the four injection-rate groups (0.428, 0.471, 0.514, 0.600).

@@ -16,7 +16,7 @@
 namespace
 {
 
-using wormnet::bench::PaperRef;
+using wormnet::PaperRef;
 
 // Paper Table 2, percentages; columns [s, l, L, sl] per rate group
 // (0.428, 0.471, 0.514, 0.600 saturated).

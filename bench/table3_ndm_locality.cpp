@@ -11,7 +11,7 @@
 namespace
 {
 
-using wormnet::bench::PaperRef;
+using wormnet::PaperRef;
 
 // Paper Table 3, columns [s, l, sl] per rate group
 // (1.429, 1.571, 1.857 saturated, 2.000 saturated).

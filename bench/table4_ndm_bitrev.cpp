@@ -12,7 +12,7 @@
 namespace
 {
 
-using wormnet::bench::PaperRef;
+using wormnet::PaperRef;
 
 // Paper Table 4, columns [s, l, sl] per rate group
 // (0.352, 0.386, 0.421, 0.451 saturated).

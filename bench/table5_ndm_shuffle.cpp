@@ -9,7 +9,7 @@
 namespace
 {
 
-using wormnet::bench::PaperRef;
+using wormnet::PaperRef;
 
 // Paper Table 5, columns [s, l, sl] per rate group
 // (0.214, 0.250, 0.286, 0.320 saturated).

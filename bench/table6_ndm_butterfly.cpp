@@ -11,7 +11,7 @@
 namespace
 {
 
-using wormnet::bench::PaperRef;
+using wormnet::PaperRef;
 
 // Paper Table 6, columns [s, l, sl] per rate group
 // (0.107, 0.118, 0.129, 0.139 saturated).

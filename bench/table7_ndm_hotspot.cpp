@@ -12,7 +12,7 @@
 namespace
 {
 
-using wormnet::bench::PaperRef;
+using wormnet::PaperRef;
 
 // Paper Table 7, columns [s, l, sl] per rate group
 // (0.0628, 0.0707, 0.0786, 0.0862 saturated).

@@ -186,49 +186,29 @@ resolveFaults(const Topology &topo, const RouterParams &params,
     if (faults.schedule.empty())
         return out;
 
-    const NodeId n = topo.numNodes();
-    out.faultyOut.assign(n, 0);
-    out.faultyRouter.assign(n, 0);
-
-    const auto failLink = [&](NodeId src, NodeId dst) {
-        for (unsigned d = 0; d < topo.numDims(); ++d) {
-            for (bool positive : {true, false}) {
-                if (topo.neighbor(src, d, positive) == dst) {
-                    out.faultyOut[src] |=
-                        PortMask(1) << Topology::outPort(d, positive);
-                    return true;
-                }
-            }
-        }
-        return false;
-    };
-
+    DeadSet dead(topo);
     for (const ScheduledFault &f : faults.schedule) {
-        if (f.kind == ScheduledFault::Kind::Router) {
-            if (f.node >= n)
-                fatal("fault spec names router ", f.node,
-                      " outside the ", n, "-node topology");
-            out.faultyRouter[f.node] = 1;
-            // A dead router takes every incident link with it.
-            for (unsigned d = 0; d < topo.numDims(); ++d) {
-                for (bool positive : {true, false}) {
-                    const NodeId peer =
-                        topo.neighbor(f.node, d, positive);
-                    if (peer == kInvalidNode)
-                        continue;
-                    out.faultyOut[f.node] |=
-                        PortMask(1) << Topology::outPort(d, positive);
-                    failLink(peer, f.node);
-                }
-            }
-            continue;
-        }
-        if (f.node >= n || f.peer >= n || !failLink(f.node, f.peer))
-            fatal("fault spec names link ", f.node, ">", f.peer,
-                  " which does not exist in ", topo.name());
+        const PortId q = resolveFault(topo, f);
+        if (f.kind == ScheduledFault::Kind::Router)
+            dead.addRouter(f.node, +1);
+        else
+            dead.addLink(f.node, q, +1);
     }
+    out.add(dead);
     (void)params;
     return out;
+}
+
+void
+CdgFaults::add(const DeadSet &dead)
+{
+    const NodeId n = dead.numNodes();
+    faultyOut.resize(n, 0);
+    faultyRouter.resize(n, 0);
+    for (NodeId node = 0; node < n; ++node) {
+        faultyOut[node] |= dead.outMask(node);
+        faultyRouter[node] |= dead.routerDown(node) ? 1 : 0;
+    }
 }
 
 ChannelDepGraph::ChannelDepGraph(const Topology &topo,

@@ -96,6 +96,11 @@ struct CdgFaults
     {
         return faultyOut.empty() && faultyRouter.empty();
     }
+
+    /** Also mark everything @p dead holds down (sizing this to its
+     *  topology first). The one way a live or replayed DeadSet
+     *  becomes the analyzer's view. */
+    void add(const DeadSet &dead);
 };
 
 /**

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
-#include <sstream>
 
 #include "common/log.hh"
+#include "common/spec.hh"
 
 namespace wormnet
 {
@@ -51,9 +51,7 @@ Config
 Config::parseString(const std::string &text)
 {
     Config cfg;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
+    for (const std::string &item : splitFields(text, ',')) {
         if (item.empty())
             continue;
         const auto eq = item.find('=');
@@ -116,9 +114,8 @@ Config::getDouble(const std::string &key, double def) const
     const auto it = values_.find(key);
     if (it == values_.end())
         return def;
-    char *end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
+    double v = 0.0;
+    if (!tryParseReal(it->second, v))
         fatal("option --", key, ": '", it->second,
               "' is not a number");
     return v;

@@ -1,5 +1,6 @@
 #include "core/experiment.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -306,7 +307,7 @@ ExperimentRunner::runTable(const TableSpec &spec) const
 
 TextTable
 ExperimentRunner::formatTable(const TableResult &result,
-                              const double *paper_ref)
+                              const PaperRef *paper)
 {
     const TableSpec &spec = result.spec;
     const std::size_t sizes = spec.sizeClasses.size();
@@ -347,19 +348,27 @@ ExperimentRunner::formatTable(const TableResult &result,
             os << "Th " << spec.thresholds[t];
             row[0] = os.str();
         }
+        // The paper's row for this threshold, if it reports one.
+        const double *paper_row = nullptr;
+        if (paper) {
+            const auto it =
+                std::find(paper->thresholds.begin(),
+                          paper->thresholds.end(), spec.thresholds[t]);
+            if (it != paper->thresholds.end())
+                paper_row = paper->values.data() +
+                            std::size_t(it - paper->thresholds.begin()) *
+                                spec.rates.size() * sizes;
+        }
         for (std::size_t r = 0; r < spec.rates.size(); ++r) {
             for (std::size_t s = 0; s < sizes; ++s) {
                 const CellResult &cell = result.cells[r][s][t];
                 std::string text =
                     formatPercentPaperStyle(cell.detectionRate);
-                if (paper_ref) {
-                    const double ref =
-                        paper_ref[t * spec.rates.size() * sizes +
-                                  r * sizes + s];
+                if (paper_row && paper_row[r * sizes + s] >= 0.0)
                     text += " (" +
-                            formatPercentPaperStyle(ref / 100.0) +
+                            formatPercentPaperStyle(
+                                paper_row[r * sizes + s] / 100.0) +
                             ")";
-                }
                 row[1 + r * sizes + s] = std::move(text);
             }
         }

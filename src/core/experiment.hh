@@ -114,6 +114,16 @@ struct TableSpec
     unsigned replications = 1;
 };
 
+/** The paper's reference values for one table. */
+struct PaperRef
+{
+    /** Thresholds the paper reports (row labels). */
+    std::vector<Cycle> thresholds;
+    /** Percentages, [threshold][rate * sizes + size]; a negative
+     *  value marks a point the paper does not report. */
+    std::vector<double> values;
+};
+
 /** All cells of a simulated table. */
 struct TableResult
 {
@@ -184,12 +194,13 @@ class ExperimentRunner
     TableResult runTable(const TableSpec &spec) const;
 
     /**
-     * Render @p result in the paper's layout. When @p paper_ref is
-     * non-null it must be indexed [threshold][rate*sizes + size] and
-     * the rendering appends the paper's value in parentheses.
+     * Render @p result in the paper's layout. With @p paper, every
+     * cell the paper reports (its threshold is in paper->thresholds
+     * and its value is not negative) gets the paper's value appended
+     * in parentheses.
      */
     static TextTable formatTable(const TableResult &result,
-                                 const double *paper_ref = nullptr);
+                                 const PaperRef *paper = nullptr);
 
     /**
      * Estimate the saturation injection rate for @p base (pattern,

@@ -111,9 +111,9 @@ buildReport(const Simulation &sim, const ReportOptions &options)
         os << "spec:                " << cfg.faults << '\n'
            << "injected / repaired: " << s.faultsInjected << " / "
            << s.faultsRepaired << '\n'
-           << "active links down:   " << fm->activeLinkFaults()
+           << "active links down:   " << fm->dead().activeLinks()
            << '\n'
-           << "active routers down: " << fm->activeRouterFaults()
+           << "active routers down: " << fm->dead().activeRouters()
            << '\n'
            << "stranded kills:      " << s.faultKills << " ("
            << s.faultFlitsDropped << " flits dropped)\n"

@@ -1,11 +1,11 @@
 #include "fault/fault.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <sstream>
+#include <tuple>
 
 #include "common/contracts.hh"
 #include "common/log.hh"
+#include "common/spec.hh"
 
 namespace wormnet
 {
@@ -18,72 +18,34 @@ constexpr const char *kSpecUsage =
     "\"link:<src>><dst>@<cycle>\", \"router:<node>@<cycle>\" or "
     "\"rate:<p>\"";
 
-std::uint64_t
-parseNumber(const std::string &s, const std::string &item)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (s.empty() || end == s.c_str() || *end != '\0')
-        fatal("malformed --faults item '", item, "': '", s,
-              "' is not a number", kSpecUsage);
-    return v;
-}
-
 } // namespace
 
 FaultParams
 FaultModel::parseSpec(const std::string &spec)
 {
+    const ItemSpec grammar("--faults", kSpecUsage);
     FaultParams params;
-    std::stringstream ss(spec);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (item.empty())
-            continue;
-        const auto colon = item.find(':');
-        if (colon == std::string::npos)
-            fatal("malformed --faults item '", item, "'", kSpecUsage);
-        const std::string kind = item.substr(0, colon);
-        const std::string rest = item.substr(colon + 1);
-
-        if (kind == "rate") {
-            char *end = nullptr;
-            const double p = std::strtod(rest.c_str(), &end);
-            if (rest.empty() || end == rest.c_str() || *end != '\0' ||
-                p < 0.0 || p > 1.0)
-                fatal("malformed --faults item '", item,
-                      "': rate must be a probability in [0,1]",
-                      kSpecUsage);
+    for (const ItemSpec::Item &item : grammar.items(spec)) {
+        if (item.kind == "rate") {
+            double p = 0.0;
+            if (!tryParseReal(item.rest, p) || p < 0.0 || p > 1.0)
+                grammar.fail(item,
+                             ": rate must be a probability in [0,1]");
             params.linkRate = p;
             continue;
         }
 
-        const auto at = rest.find('@');
-        if (at == std::string::npos)
-            fatal("malformed --faults item '", item,
-                  "': missing '@<cycle>'", kSpecUsage);
-        const std::string where = rest.substr(0, at);
-        const Cycle when = parseNumber(rest.substr(at + 1), item);
-
         ScheduledFault f;
-        f.at = when;
-        if (kind == "link") {
-            const auto arrow = where.find('>');
-            if (arrow == std::string::npos)
-                fatal("malformed --faults item '", item,
-                      "': missing '>' between link endpoints",
-                      kSpecUsage);
+        const std::string where = grammar.timed(item, f.at);
+        if (item.kind == "link") {
             f.kind = ScheduledFault::Kind::Link;
-            f.node = static_cast<NodeId>(
-                parseNumber(where.substr(0, arrow), item));
-            f.peer = static_cast<NodeId>(
-                parseNumber(where.substr(arrow + 1), item));
-        } else if (kind == "router") {
+            std::tie(f.node, f.peer) = grammar.link(item, where);
+        } else if (item.kind == "router") {
             f.kind = ScheduledFault::Kind::Router;
-            f.node = static_cast<NodeId>(parseNumber(where, item));
+            f.node = grammar.node(item, where);
         } else {
-            fatal("malformed --faults item '", item,
-                  "': unknown fault kind '", kind, "'", kSpecUsage);
+            grammar.fail(item, ": unknown fault kind '", item.kind,
+                         "'");
         }
         params.schedule.push_back(f);
     }
@@ -91,6 +53,23 @@ FaultModel::parseSpec(const std::string &spec)
         fatal("--faults spec '", spec, "' contains no faults",
               kSpecUsage);
     return params;
+}
+
+PortId
+resolveFault(const Topology &topo, const ScheduledFault &f)
+{
+    if (f.kind == ScheduledFault::Kind::Router) {
+        if (f.node >= topo.numNodes())
+            fatal("--faults: node ", f.node,
+                  " is outside this topology (", topo.numNodes(),
+                  " nodes)");
+        return kInvalidPort;
+    }
+    const PortId q = topo.linkPort(f.node, f.peer);
+    if (q == kInvalidPort)
+        fatal("--faults: no link ", f.node, ">", f.peer, " in ",
+              topo.name());
+    return q;
 }
 
 FaultModel::FaultModel(const FaultParams &params) : params_(params)
@@ -102,159 +81,53 @@ FaultModel::init(const Topology &topo, const RouterParams &rp,
                  std::uint64_t seed)
 {
     topo_ = &topo;
-    netPorts_ = topo.numNetPorts();
-    WORMNET_ASSERT(netPorts_ == rp.netPorts);
+    WORMNET_ASSERT(topo.numNetPorts() == rp.netPorts);
     rng_.reseed(seed);
+    dead_ = DeadSet(topo);
 
-    const NodeId n = topo.numNodes();
-    causeCount_.assign(std::size_t(n) * netPorts_, 0);
-    faultyMask_.assign(n, 0);
-    routerFaulty_.assign(n, 0);
-
-    schedule_.clear();
+    for (const ScheduledFault &f : params_.schedule)
+        resolveFault(topo, f);
+    schedule_ = params_.schedule;
     nextScheduled_ = 0;
-    for (const ScheduledFault &f : params_.schedule) {
-        if (f.node >= n)
-            fatal("--faults: node ", f.node,
-                  " is outside this topology (", n, " nodes)");
-        ResolvedFault r;
-        r.kind = f.kind;
-        r.node = f.node;
-        r.outPort = kInvalidPort;
-        r.at = f.at;
-        if (f.kind == ScheduledFault::Kind::Link) {
-            if (f.peer >= n)
-                fatal("--faults: node ", f.peer,
-                      " is outside this topology (", n, " nodes)");
-            for (unsigned d = 0;
-                 d < topo.numDims() && r.outPort == kInvalidPort;
-                 ++d) {
-                for (const bool positive : {true, false}) {
-                    if (topo.neighbor(f.node, d, positive) ==
-                        f.peer) {
-                        r.outPort = Topology::outPort(d, positive);
-                        break;
-                    }
-                }
-            }
-            if (r.outPort == kInvalidPort)
-                fatal("--faults: no link ", f.node, ">", f.peer,
-                      " in this topology");
-        }
-        schedule_.push_back(r);
-    }
     std::stable_sort(schedule_.begin(), schedule_.end(),
-                     [](const ResolvedFault &a,
-                        const ResolvedFault &b) {
+                     [](const ScheduledFault &a,
+                        const ScheduledFault &b) {
                          return a.at < b.at;
                      });
 }
 
-void
-FaultModel::addLinkCause(NodeId node, PortId out_port, int delta)
-{
-    std::uint8_t &count =
-        causeCount_[std::size_t(node) * netPorts_ + out_port];
-    const bool was = count > 0;
-    WORMNET_ASSERT(delta > 0 || count > 0);
-    count = static_cast<std::uint8_t>(int(count) + delta);
-    const bool is = count > 0;
-    if (was == is)
-        return;
-    if (is) {
-        faultyMask_[node] |= PortMask(1) << out_port;
-        ++activeLinks_;
-    } else {
-        faultyMask_[node] &= ~(PortMask(1) << out_port);
-        WORMNET_ASSERT(activeLinks_ > 0);
-        --activeLinks_;
-    }
-    changes_.push_back(FaultChange{node, out_port, is});
-}
-
-void
-FaultModel::failLink(NodeId node, PortId out_port, Cycle now)
+LinkFlips
+FaultModel::fail(ScheduledFault::Kind kind, NodeId node,
+                 PortId out_port, Cycle now)
 {
     ++injected_;
-    addLinkCause(node, out_port, +1);
     if (params_.repairDelay > 0)
-        repairs_.push(Repair{now + params_.repairDelay,
-                             ScheduledFault::Kind::Link, node,
-                             out_port});
+        repairs_.push(
+            Repair{now + params_.repairDelay, kind, node, out_port});
+    return kind == ScheduledFault::Kind::Link
+               ? dead_.addLink(node, out_port, +1)
+               : dead_.addRouter(node, +1);
 }
 
-void
-FaultModel::repairLink(NodeId node, PortId out_port)
-{
-    ++repaired_;
-    addLinkCause(node, out_port, -1);
-}
-
-void
-FaultModel::failRouter(NodeId node, Cycle now)
-{
-    ++injected_;
-    if (routerFaulty_[node]++ == 0)
-        ++activeRouters_;
-    // Every incident link fails with the router: the router's own
-    // output ports and each neighbour's port towards it.
-    for (unsigned d = 0; d < topo_->numDims(); ++d) {
-        for (const bool positive : {true, false}) {
-            const NodeId peer = topo_->neighbor(node, d, positive);
-            if (peer == kInvalidNode)
-                continue; // mesh edge
-            addLinkCause(node, Topology::outPort(d, positive), +1);
-            addLinkCause(peer, Topology::outPort(d, !positive), +1);
-        }
-    }
-    if (params_.repairDelay > 0)
-        repairs_.push(Repair{now + params_.repairDelay,
-                             ScheduledFault::Kind::Router, node,
-                             kInvalidPort});
-}
-
-void
-FaultModel::repairRouter(NodeId node)
-{
-    ++repaired_;
-    WORMNET_ASSERT(routerFaulty_[node] > 0);
-    if (--routerFaulty_[node] == 0) {
-        WORMNET_ASSERT(activeRouters_ > 0);
-        --activeRouters_;
-    }
-    for (unsigned d = 0; d < topo_->numDims(); ++d) {
-        for (const bool positive : {true, false}) {
-            const NodeId peer = topo_->neighbor(node, d, positive);
-            if (peer == kInvalidNode)
-                continue;
-            addLinkCause(node, Topology::outPort(d, positive), -1);
-            addLinkCause(peer, Topology::outPort(d, !positive), -1);
-        }
-    }
-}
-
-bool
+LinkFlips
 FaultModel::tick(Cycle now)
 {
     WORMNET_ASSERT(topo_ != nullptr && "FaultModel used before init()");
-    changes_.clear();
+    LinkFlips flips;
 
     while (!repairs_.empty() && repairs_.top().when <= now) {
         const Repair r = repairs_.top();
         repairs_.pop();
-        if (r.kind == ScheduledFault::Kind::Link)
-            repairLink(r.node, r.outPort);
-        else
-            repairRouter(r.node);
+        ++repaired_;
+        flips |= r.kind == ScheduledFault::Kind::Link
+                     ? dead_.addLink(r.node, r.outPort, -1)
+                     : dead_.addRouter(r.node, -1);
     }
 
     while (nextScheduled_ < schedule_.size() &&
            schedule_[nextScheduled_].at <= now) {
-        const ResolvedFault &f = schedule_[nextScheduled_++];
-        if (f.kind == ScheduledFault::Kind::Link)
-            failLink(f.node, f.outPort, now);
-        else
-            failRouter(f.node, now);
+        const ScheduledFault &f = schedule_[nextScheduled_++];
+        flips |= fail(f.kind, f.node, resolveFault(*topo_, f), now);
     }
 
     if (params_.linkRate > 0.0) {
@@ -266,30 +139,31 @@ FaultModel::tick(Cycle now)
                         continue;
                     const PortId q =
                         Topology::outPort(d, positive);
-                    if (linkFaulty(node, q))
+                    if (dead_.linkDown(node, q))
                         continue; // already down
                     if (rng_.nextBool(params_.linkRate))
-                        failLink(node, q, now);
+                        flips |= fail(ScheduledFault::Kind::Link,
+                                      node, q, now);
                 }
             }
         }
     }
 
-    return !changes_.empty();
+    return flips;
 }
 
 void
 FaultModel::saveState(Serializer &s) const
 {
+    // The masks and the active totals are written for layout's sake;
+    // loadState() recomputes them from the counts and checks them.
     rng_.saveState(s);
     s.u64(nextScheduled_);
-    s.u64(static_cast<std::uint64_t>(causeCount_.size()));
-    for (const std::uint8_t c : causeCount_)
-        s.u8(c);
-    for (const PortMask m : faultyMask_)
-        s.u32(m);
-    for (const std::uint8_t r : routerFaulty_)
-        s.u8(r);
+    s.u64(dead_.numLinkCounts());
+    dead_.saveLinkCounts(s);
+    for (NodeId node = 0; node < dead_.numNodes(); ++node)
+        s.u32(dead_.outMask(node));
+    dead_.saveRouterCounts(s);
     // The repair heap is written verbatim so equal-cycle repairs pop
     // in the exact pre-checkpoint order.
     const auto &heap = pqContainer(repairs_);
@@ -300,8 +174,8 @@ FaultModel::saveState(Serializer &s) const
         s.u32(r.node);
         s.u16(r.outPort);
     }
-    s.u64(activeLinks_);
-    s.u64(activeRouters_);
+    s.u64(dead_.activeLinks());
+    s.u64(dead_.activeRouters());
     s.u64(injected_);
     s.u64(repaired_);
 }
@@ -311,30 +185,42 @@ FaultModel::loadState(Deserializer &d)
 {
     rng_.loadState(d);
     nextScheduled_ = d.u64();
+    if (nextScheduled_ > schedule_.size())
+        fatal("fault checkpoint is ahead of the schedule (",
+              nextScheduled_, " of ", schedule_.size(), " faults)");
     const std::uint64_t links = d.u64();
-    causeCount_.assign(links, 0);
-    for (std::uint8_t &c : causeCount_)
-        c = d.u8();
-    faultyMask_.assign(causeCount_.size() / netPorts_, 0);
-    for (PortMask &m : faultyMask_)
-        m = d.u32();
-    routerFaulty_.assign(faultyMask_.size(), 0);
-    for (std::uint8_t &r : routerFaulty_)
-        r = d.u8();
+    if (links != dead_.numLinkCounts())
+        fatal("fault checkpoint holds ", links,
+              " link counts; this topology has ",
+              dead_.numLinkCounts());
+    dead_.loadLinkCounts(d);
+    for (NodeId node = 0; node < dead_.numNodes(); ++node) {
+        if (d.u32() != dead_.outMask(node))
+            fatal("fault checkpoint: stored dead-port mask of node ",
+                  node, " disagrees with its link counts");
+    }
+    dead_.loadRouterCounts(d);
     auto &heap = pqContainer(repairs_);
     heap.clear();
     heap.resize(d.u32());
     for (Repair &r : heap) {
         r.when = d.u64();
-        r.kind = static_cast<ScheduledFault::Kind>(d.u8());
+        const std::uint8_t kind = d.u8();
+        r.kind = static_cast<ScheduledFault::Kind>(kind);
         r.node = d.u32();
         r.outPort = d.u16();
+        const bool link = r.kind == ScheduledFault::Kind::Link;
+        if (kind > std::uint8_t(ScheduledFault::Kind::Router) ||
+            r.node >= dead_.numNodes() ||
+            (link && r.outPort >= topo_->numNetPorts()))
+            fatal("fault checkpoint holds a malformed repair entry");
     }
-    activeLinks_ = d.u64();
-    activeRouters_ = d.u64();
+    if (d.u64() != dead_.activeLinks() ||
+        d.u64() != dead_.activeRouters())
+        fatal("fault checkpoint: stored fault totals disagree with "
+              "its counts");
     injected_ = d.u64();
     repaired_ = d.u64();
-    changes_.clear();
 }
 
 } // namespace wormnet

@@ -12,18 +12,11 @@
  * dynamic-reconfiguration schemes (DBR) and detection mechanisms that
  * must stay sound in lossy data planes (DCFIT).
  *
- * Fault semantics:
- *  - A faulted *link* transmits no flits in either use of its data
- *    path (the Network masks the output port out of switch allocation
- *    and out of every routing feasible set). The credit-return wire
- *    is assumed to survive, so buffer bookkeeping stays exact and a
- *    repaired link is immediately usable.
- *  - A faulted *router* fails every incident link (its own output
- *    ports and each neighbour's port towards it) and stops generating
- *    and injecting traffic until repaired.
- *  - Worms caught mid-flight across a failing link are stranded: the
- *    Network kills them and re-queues them at their source with
- *    bounded retries, after which they are counted as abandoned.
+ * A faulted link transmits no flits (its credit wire survives); a
+ * faulted router fails every incident link and stops generating
+ * traffic; worms stranded across a failing link are killed and
+ * re-queued at their source with bounded retries. docs/MECHANISMS.md
+ * ("Fault model") spells out the semantics.
  *
  * Spec grammar (comma-separated items, see parseSpec):
  *    link:<src>><dst>@<cycle>   fail the src->dst link at <cycle>
@@ -42,6 +35,7 @@
 #include "common/rng.hh"
 #include "common/serialize.hh"
 #include "common/types.hh"
+#include "fault/dead_set.hh"
 #include "router/router.hh"
 #include "topology/topology.hh"
 
@@ -76,22 +70,22 @@ struct FaultParams
     Cycle repairDelay = 0;
 };
 
-/** A link whose fault state flipped during the last tick(). */
-struct FaultChange
-{
-    NodeId node = kInvalidNode;
-    PortId outPort = kInvalidPort;
-    bool faulty = false; ///< new state
-};
+/**
+ * The out-port of scheduled link fault @p f on @p topo, or
+ * kInvalidPort for a router fault. fatal() when @p f names a node or
+ * link @p topo lacks. Shared by FaultModel::init() and the static
+ * analyzer's resolveFaults().
+ */
+PortId resolveFault(const Topology &topo, const ScheduledFault &f);
 
 /**
  * Tracks which links and routers are currently faulted and advances
  * that state one cycle at a time. Owned by the Simulation (or a
  * test), attached to the Network, which queries it every cycle.
  *
- * Link fault state is reference-counted so overlapping causes (a
- * scheduled link fault on a link also covered by a router fault)
- * compose and repair independently.
+ * The fault state is a DeadSet, so overlapping causes (a scheduled
+ * link fault on a link also covered by a router fault) compose and
+ * repair independently.
  */
 class FaultModel
 {
@@ -116,50 +110,19 @@ class FaultModel
     /**
      * Advance to cycle @p now: activate due scheduled faults, draw
      * stochastic link faults, apply due repairs.
-     * @return true when any link or router changed state; the
-     *         individual link flips are then available via changes().
+     * @return which ways links flipped (a router flip alone, with all
+     *         its links already down for other causes, is none).
      */
-    bool tick(Cycle now);
+    LinkFlips tick(Cycle now);
 
-    /** Link flips from the last tick() that returned true. */
-    const std::vector<FaultChange> &changes() const
-    {
-        return changes_;
-    }
-
-    /** @name Current fault state. */
-    /// @{
-    /** Bitmask of faulted *network* output ports of @p node. */
-    PortMask faultyOutMask(NodeId node) const
-    {
-        return faultyMask_[node];
-    }
-
-    bool
-    linkFaulty(NodeId node, PortId out_port) const
-    {
-        return (faultyMask_[node] >> out_port) & 1u;
-    }
-
-    bool routerFaulty(NodeId node) const
-    {
-        return routerFaulty_[node] != 0;
-    }
-
-    /** Links faulted right now (each direction counts separately). */
-    std::size_t activeLinkFaults() const { return activeLinks_; }
-
-    /** Routers faulted right now. */
-    std::size_t activeRouterFaults() const { return activeRouters_; }
-    /// @}
+    /** Links and routers faulted right now. */
+    const DeadSet &dead() const { return dead_; }
 
     /** @name Lifetime fault counters. */
     /// @{
     std::uint64_t faultsInjected() const { return injected_; }
     std::uint64_t faultsRepaired() const { return repaired_; }
     /// @}
-
-    const FaultParams &params() const { return params_; }
 
     /** @name Checkpoint support. schedule_ is rebuilt by init() (it
      *  is config-derived); everything that evolves is written. */
@@ -183,45 +146,26 @@ class FaultModel
         }
     };
 
-    void failLink(NodeId node, PortId out_port, Cycle now);
-    void repairLink(NodeId node, PortId out_port);
-    void failRouter(NodeId node, Cycle now);
-    void repairRouter(NodeId node);
-
-    /** Adjust one link's fault reference count and record the flip. */
-    void addLinkCause(NodeId node, PortId out_port, int delta);
+    /** Inject one fault of @p kind (links: leaving @p node through
+     *  @p out_port) and queue its repair. */
+    LinkFlips fail(ScheduledFault::Kind kind, NodeId node,
+                   PortId out_port, Cycle now);
 
     FaultParams params_;
     const Topology *topo_ = nullptr;
-    unsigned netPorts_ = 0;
     Rng rng_;
 
-    /** Schedule resolved to (node, out_port); ordered by cycle. */
-    struct ResolvedFault
-    {
-        ScheduledFault::Kind kind;
-        NodeId node;
-        PortId outPort; ///< links only
-        Cycle at;
-    };
-    std::vector<ResolvedFault> schedule_;
+    /** The schedule, validated against the topology and ordered by
+     *  cycle. */
+    std::vector<ScheduledFault> schedule_;
     std::size_t nextScheduled_ = 0;
 
-    /** Per (node, network out port): number of active fault causes. */
-    std::vector<std::uint8_t> causeCount_;
-    /** Per node: bitmask of faulted network output ports. */
-    std::vector<PortMask> faultyMask_;
-    /** Per node: active router-fault causes (schedule is the only
-     *  source today, but counted for symmetry). */
-    std::vector<std::uint8_t> routerFaulty_;
+    DeadSet dead_;
 
     std::priority_queue<Repair, std::vector<Repair>,
                         std::greater<Repair>>
         repairs_;
 
-    std::vector<FaultChange> changes_;
-    std::size_t activeLinks_ = 0;
-    std::size_t activeRouters_ = 0;
     std::uint64_t injected_ = 0;
     std::uint64_t repaired_ = 0;
 };

@@ -1,9 +1,9 @@
 #include "recovery/recovery.hh"
 
-#include <sstream>
 #include <vector>
 
 #include "common/log.hh"
+#include "common/spec.hh"
 #include "recovery/disha.hh"
 #include "recovery/progressive.hh"
 #include "recovery/regressive.hh"
@@ -11,70 +11,46 @@
 namespace wormnet
 {
 
-namespace
-{
-
-std::vector<std::string>
-splitColon(const std::string &spec)
-{
-    std::vector<std::string> parts;
-    std::stringstream ss(spec);
-    std::string item;
-    while (std::getline(ss, item, ':'))
-        parts.push_back(item);
-    return parts;
-}
-
-Cycle
-parseCycle(const std::string &s, const char *what)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0')
-        fatal("bad ", what, " value '", s, "'");
-    return v;
-}
-
-} // namespace
-
 std::unique_ptr<RecoveryManager>
 makeRecoveryManager(const std::string &spec)
 {
-    const auto parts = splitColon(spec);
-    if (parts.empty())
+    if (spec.empty())
         fatal("empty recovery spec");
+    const std::vector<std::string> parts = splitFields(spec, ':');
     const std::string &kind = parts[0];
 
     if (kind == "progressive") {
+        rejectSurplusFields(parts, 3, spec);
         ProgressiveParams p;
         if (parts.size() > 1)
             p.softwareOverhead =
-                parseCycle(parts[1], "progressive overhead");
+                parseUnsigned(parts[1], "progressive overhead");
         if (parts.size() > 2)
-            p.perHopCost = parseCycle(parts[2], "progressive per-hop");
+            p.perHopCost = parseUnsigned(parts[2], "progressive per-hop");
         return std::make_unique<ProgressiveRecovery>(p);
     }
 
     if (kind == "regressive") {
+        rejectSurplusFields(parts, 3, spec);
         RegressiveParams p;
         if (parts.size() > 1)
-            p.retryDelay = parseCycle(parts[1], "regressive delay");
+            p.retryDelay = parseUnsigned(parts[1], "regressive delay");
         if (parts.size() > 2)
-            p.maxRetries = static_cast<unsigned>(
-                parseCycle(parts[2], "regressive max retries"));
+            p.maxRetries = parseUnsigned<unsigned>(
+                parts[2], "regressive max retries");
         return std::make_unique<RegressiveRecovery>(p);
     }
 
     if (kind == "disha") {
+        rejectSurplusFields(parts, 4, spec);
         DishaParams p;
         if (parts.size() > 1)
-            p.tokens = static_cast<unsigned>(
-                parseCycle(parts[1], "disha tokens"));
+            p.tokens = parseUnsigned<unsigned>(parts[1], "disha tokens");
         if (parts.size() > 2)
-            p.laneHopCost = parseCycle(parts[2], "disha lane cost");
+            p.laneHopCost = parseUnsigned(parts[2], "disha lane cost");
         if (parts.size() > 3)
             p.tokenHandoff =
-                parseCycle(parts[3], "disha token hand-off");
+                parseUnsigned(parts[3], "disha token hand-off");
         return std::make_unique<DishaRecovery>(p);
     }
 

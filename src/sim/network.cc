@@ -362,17 +362,17 @@ Network::resetBlockedHeads()
 PortMask
 Network::deadOutMask(NodeId node) const
 {
-    PortMask m = faults_ ? faults_->faultyOutMask(node) : 0;
+    PortMask m = faults_ ? faults_->dead().outMask(node) : 0;
     if (reconfig_)
-        m |= reconfig_->adminDownMask(node);
+        m |= reconfig_->dead().outMask(node);
     return m;
 }
 
 bool
 Network::nodeOffline(NodeId node) const
 {
-    return (faults_ && faults_->routerFaulty(node)) ||
-           (reconfig_ && reconfig_->drained(node));
+    return (faults_ && faults_->dead().routerDown(node)) ||
+           (reconfig_ && reconfig_->dead().routerDown(node));
 }
 
 void
@@ -482,17 +482,14 @@ void
 Network::faultTick()
 {
     if (faults_) {
-        const bool changed = faults_->tick(now_);
+        const LinkFlips flips = faults_->tick(now_);
         stats_.faultsInjected = faults_->faultsInjected();
         stats_.faultsRepaired = faults_->faultsRepaired();
-        if (changed) {
+        if (flips.any()) {
             // Overlapping fault/admin causes are mediated: the
             // detector hears only *combined* dead-state flips.
             applyDeadPortChanges();
-            bool any_down = false;
-            for (const FaultChange &c : faults_->changes())
-                any_down |= c.faulty;
-            if (any_down)
+            if (flips.down)
                 scanForStrandedWorms();
             processFaultKills();
         }

@@ -1,12 +1,13 @@
 #include "sim/reconfig.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "common/contracts.hh"
 #include "common/log.hh"
+#include "common/spec.hh"
+#include "fault/fault.hh"
 #include "router/message.hh"
 #include "sim/network.hh"
 
@@ -22,38 +23,70 @@ constexpr const char *kSpecUsage =
     "\"router-:<n>@<cycle>\", \"router+:<n>@<cycle>\" or "
     "\"routing:<name>@<cycle>\"";
 
-std::uint64_t
-parseNumber(const std::string &s, const std::string &item)
+/** Fold edit @p e, whose link leaves through @p q, into @p dead
+ *  (routing switches hold nothing down). */
+void
+applyAdmin(DeadSet &dead, const ReconfigEdit &e, PortId q)
 {
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (s.empty() || end == s.c_str() || *end != '\0')
-        fatal("malformed --reconfig item '", item, "': '", s,
-              "' is not a number", kSpecUsage);
-    return v;
+    using Kind = ReconfigEdit::Kind;
+    if (e.kind == Kind::LinkDown || e.kind == Kind::LinkUp)
+        dead.addLink(e.node, q, e.kind == Kind::LinkDown ? +1 : -1);
+    else if (e.kind == Kind::RouterDrain || e.kind == Kind::RouterRestore)
+        dead.addRouter(e.node, e.kind == Kind::RouterDrain ? +1 : -1);
 }
 
-/** Map the directed link @p node -> @p peer to @p node's output
- *  port; fatal() when the topology has no such link. */
-PortId
-resolveLinkPort(const Topology &topo, NodeId node, NodeId peer)
+/**
+ * Resolve @p plan against @p topo and replay it epoch by epoch
+ * through a scratch DeadSet, calling @p on_epoch(first, last, dead)
+ * after each epoch's edits [first, last). fatal() on a node or link
+ * the topology lacks and on a restore without a matching removal.
+ * ReconfigManager::bind() and analyzePlanStatic() both validate a
+ * plan through here, so they accept and reject the same plans with
+ * the same messages.
+ * @return per edit, the link's out-port (kInvalidPort otherwise)
+ */
+template <typename OnEpoch>
+std::vector<PortId>
+replayPlan(const ReconfigPlan &plan, const Topology &topo,
+           OnEpoch on_epoch)
 {
-    for (unsigned d = 0; d < topo.numDims(); ++d) {
-        for (const bool positive : {true, false}) {
-            if (topo.neighbor(node, d, positive) == peer)
-                return Topology::outPort(d, positive);
-        }
+    const std::vector<ReconfigEdit> &edits = plan.edits;
+    std::vector<PortId> ports;
+    for (const ReconfigEdit &e : edits) {
+        const bool link = e.kind == ReconfigEdit::Kind::LinkDown ||
+                          e.kind == ReconfigEdit::Kind::LinkUp;
+        ports.push_back(link ? topo.linkPort(e.node, e.peer)
+                             : kInvalidPort);
+        if (link && ports.back() == kInvalidPort)
+            fatal("--reconfig: no link ", e.node, ">", e.peer, " in ",
+                  topo.name());
+        if (!link && e.kind != ReconfigEdit::Kind::RoutingSwitch &&
+            e.node >= topo.numNodes())
+            fatal("--reconfig: node ", e.node,
+                  " is outside this topology (", topo.numNodes(),
+                  " nodes)");
     }
-    fatal("--reconfig: no link ", node, ">", peer,
-          " in this topology");
-}
 
-/** The reverse direction of output port @p out (same dim, flipped
- *  sign), for draining a router's incoming links. */
-PortId
-reversePort(PortId out)
-{
-    return out ^ 1;
+    DeadSet dead(topo);
+    for (std::size_t i = 0; i < edits.size();) {
+        const std::size_t first = i;
+        for (; i < edits.size() && edits[i].at == edits[first].at; ++i) {
+            const ReconfigEdit &e = edits[i];
+            if (e.kind == ReconfigEdit::Kind::LinkUp &&
+                !dead.linkDown(e.node, ports[i]))
+                fatal("--reconfig: link+ at cycle ", e.at,
+                      " restores link ", e.node, ">", e.peer,
+                      ", which is not removed");
+            if (e.kind == ReconfigEdit::Kind::RouterRestore &&
+                !dead.routerDown(e.node))
+                fatal("--reconfig: router+ at cycle ", e.at,
+                      " restores router ", e.node,
+                      ", which is not drained");
+            applyAdmin(dead, e, ports[i]);
+        }
+        on_epoch(first, i, dead);
+    }
+    return ports;
 }
 
 } // namespace
@@ -61,53 +94,28 @@ reversePort(PortId out)
 ReconfigPlan
 ReconfigPlan::parse(const std::string &spec)
 {
+    const ItemSpec grammar("--reconfig", kSpecUsage);
     ReconfigPlan plan;
-    std::stringstream ss(spec);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (item.empty())
-            continue;
-        const auto colon = item.find(':');
-        if (colon == std::string::npos)
-            fatal("malformed --reconfig item '", item, "'",
-                  kSpecUsage);
-        const std::string kind = item.substr(0, colon);
-        const std::string rest = item.substr(colon + 1);
-
-        const auto at = rest.rfind('@');
-        if (at == std::string::npos)
-            fatal("malformed --reconfig item '", item,
-                  "': missing '@<cycle>'", kSpecUsage);
-        const std::string where = rest.substr(0, at);
-
+    for (const ItemSpec::Item &item : grammar.items(spec)) {
         ReconfigEdit e;
-        e.at = parseNumber(rest.substr(at + 1), item);
-        if (kind == "link-" || kind == "link+") {
-            const auto arrow = where.find('>');
-            if (arrow == std::string::npos)
-                fatal("malformed --reconfig item '", item,
-                      "': missing '>' between link endpoints",
-                      kSpecUsage);
-            e.kind = kind == "link-" ? ReconfigEdit::Kind::LinkDown
-                                     : ReconfigEdit::Kind::LinkUp;
-            e.node = static_cast<NodeId>(
-                parseNumber(where.substr(0, arrow), item));
-            e.peer = static_cast<NodeId>(
-                parseNumber(where.substr(arrow + 1), item));
-        } else if (kind == "router-" || kind == "router+") {
-            e.kind = kind == "router-"
+        const std::string where = grammar.timed(item, e.at);
+        if (item.kind == "link-" || item.kind == "link+") {
+            e.kind = item.kind == "link-" ? ReconfigEdit::Kind::LinkDown
+                                          : ReconfigEdit::Kind::LinkUp;
+            std::tie(e.node, e.peer) = grammar.link(item, where);
+        } else if (item.kind == "router-" || item.kind == "router+") {
+            e.kind = item.kind == "router-"
                          ? ReconfigEdit::Kind::RouterDrain
                          : ReconfigEdit::Kind::RouterRestore;
-            e.node = static_cast<NodeId>(parseNumber(where, item));
-        } else if (kind == "routing") {
+            e.node = grammar.node(item, where);
+        } else if (item.kind == "routing") {
             if (where.empty())
-                fatal("malformed --reconfig item '", item,
-                      "': empty routing name", kSpecUsage);
+                grammar.fail(item, ": empty routing name");
             e.kind = ReconfigEdit::Kind::RoutingSwitch;
             e.routingSpec = where;
         } else {
-            fatal("malformed --reconfig item '", item,
-                  "': unknown edit kind '", kind, "'", kSpecUsage);
+            grammar.fail(item, ": unknown edit kind '", item.kind,
+                         "'");
         }
         plan.edits.push_back(std::move(e));
     }
@@ -127,106 +135,35 @@ analyzePlanStatic(const ReconfigPlan &plan, const Topology &topo,
                   const std::string &initial_routing,
                   const CdgFaults &base)
 {
-    const NodeId n = topo.numNodes();
-    const unsigned net_ports = topo.numNetPorts();
-
-    std::vector<int> link_count(std::size_t(n) * net_ports, 0);
-    std::vector<int> drain_count(n, 0);
-
     std::unique_ptr<RoutingFunction> routing =
         makeRoutingFunction(initial_routing, topo, params);
 
     std::vector<EpochStaticResult> out;
-    const auto snapshot = [&](Cycle cycle, unsigned edits) {
-        CdgFaults f = base;
-        f.faultyOut.resize(n, 0);
-        f.faultyRouter.resize(n, 0);
-        for (NodeId node = 0; node < n; ++node) {
-            for (PortId q = 0; q < net_ports; ++q) {
-                if (link_count[std::size_t(node) * net_ports + q] > 0)
-                    f.faultyOut[node] |= PortMask(1) << q;
-            }
-            if (drain_count[node] > 0)
-                f.faultyRouter[node] = 1;
-        }
+    const auto snapshot = [&](Cycle cycle, std::size_t edits,
+                              const DeadSet &dead) {
         EpochStaticResult r;
         r.cycle = cycle;
-        r.edits = edits;
+        r.edits = static_cast<unsigned>(edits);
         r.routing = routing->name();
-        r.report =
-            ChannelDepGraph(topo, *routing, params, std::move(f))
-                .report();
+        r.dead = base;
+        r.dead.add(dead);
+        r.report = ChannelDepGraph(topo, *routing, params, r.dead).report();
         out.push_back(std::move(r));
     };
 
-    const auto bump = [&](NodeId node, PortId q, int delta,
-                          const char *what) {
-        int &c = link_count[std::size_t(node) * net_ports + q];
-        c += delta;
-        if (c < 0)
-            fatal("--reconfig: ", what,
-                  " restores a link that is not removed (node ",
-                  node, ", out port ", q, ")");
-    };
-
     // The pre-plan configuration, for contrast with every epoch.
-    snapshot(0, 0);
-
-    std::size_t i = 0;
-    while (i < plan.edits.size()) {
-        const Cycle at = plan.edits[i].at;
-        unsigned edits = 0;
-        for (; i < plan.edits.size() && plan.edits[i].at == at; ++i) {
-            const ReconfigEdit &e = plan.edits[i];
-            ++edits;
-            if (e.node != kInvalidNode && e.node >= n)
-                fatal("--reconfig: node ", e.node,
-                      " is outside this topology (", n, " nodes)");
-            switch (e.kind) {
-              case ReconfigEdit::Kind::LinkDown:
-              case ReconfigEdit::Kind::LinkUp: {
-                if (e.peer >= n)
-                    fatal("--reconfig: node ", e.peer,
-                          " is outside this topology (", n,
-                          " nodes)");
-                const PortId q =
-                    resolveLinkPort(topo, e.node, e.peer);
-                const bool down =
-                    e.kind == ReconfigEdit::Kind::LinkDown;
-                bump(e.node, q, down ? +1 : -1, "link+");
-                break;
-              }
-              case ReconfigEdit::Kind::RouterDrain:
-              case ReconfigEdit::Kind::RouterRestore: {
-                const bool down =
-                    e.kind == ReconfigEdit::Kind::RouterDrain;
-                drain_count[e.node] += down ? +1 : -1;
-                if (drain_count[e.node] < 0)
-                    fatal("--reconfig: router+ restores router ",
-                          e.node, " which is not drained");
-                for (unsigned dd = 0; dd < topo.numDims(); ++dd) {
-                    for (const bool positive : {true, false}) {
-                        const NodeId peer =
-                            topo.neighbor(e.node, dd, positive);
-                        if (peer == kInvalidNode)
-                            continue; // mesh edge
-                        const PortId q =
-                            Topology::outPort(dd, positive);
-                        bump(e.node, q, down ? +1 : -1, "router+");
-                        bump(peer, reversePort(q), down ? +1 : -1,
-                             "router+");
-                    }
-                }
-                break;
-              }
-              case ReconfigEdit::Kind::RoutingSwitch:
-                routing = makeRoutingFunction(e.routingSpec, topo,
-                                              params);
-                break;
-            }
-        }
-        snapshot(at, edits);
-    }
+    snapshot(0, 0, DeadSet(topo));
+    replayPlan(plan, topo,
+               [&](std::size_t first, std::size_t last,
+                   const DeadSet &dead) {
+                   for (std::size_t i = first; i < last; ++i) {
+                       const ReconfigEdit &e = plan.edits[i];
+                       if (e.kind == ReconfigEdit::Kind::RoutingSwitch)
+                           routing = makeRoutingFunction(
+                               e.routingSpec, topo, params);
+                   }
+                   snapshot(plan.edits[first].at, last - first, dead);
+               });
     return out;
 }
 
@@ -240,177 +177,35 @@ ReconfigManager::bind(Network &net)
 {
     net_ = &net;
     topo_ = &net.topology();
-    netPorts_ = topo_->numNetPorts();
+    dead_ = DeadSet(*topo_);
 
-    const NodeId n = topo_->numNodes();
-    adminCount_.assign(std::size_t(n) * netPorts_, 0);
-    adminMask_.assign(n, 0);
-    drainCount_.assign(n, 0);
-    activeLinks_ = 0;
-    activeDrains_ = 0;
-
-    resolved_.clear();
     routings_.clear();
     currentRouting_ = -1;
     nextEdit_ = 0;
     records_.clear();
     pending_.clear();
 
-    for (const ReconfigEdit &e : plan_.edits) {
-        if (e.kind != ReconfigEdit::Kind::RoutingSwitch &&
-            e.node >= n)
-            fatal("--reconfig: node ", e.node,
-                  " is outside this topology (", n, " nodes)");
-        ResolvedEdit r;
-        r.kind = e.kind;
-        r.node = e.node;
-        r.at = e.at;
-        switch (e.kind) {
-          case ReconfigEdit::Kind::LinkDown:
-          case ReconfigEdit::Kind::LinkUp:
-            if (e.peer >= n)
-                fatal("--reconfig: node ", e.peer,
-                      " is outside this topology (", n, " nodes)");
-            r.outPort = resolveLinkPort(*topo_, e.node, e.peer);
-            break;
-          case ReconfigEdit::Kind::RouterDrain:
-          case ReconfigEdit::Kind::RouterRestore:
-            break;
-          case ReconfigEdit::Kind::RoutingSwitch:
-            // Pre-building validates the name up front and makes the
-            // live switch a pointer swap.
-            routings_.push_back(makeRoutingFunction(
-                e.routingSpec, *topo_, net.routerParams()));
-            r.routingIdx =
-                static_cast<std::int32_t>(routings_.size() - 1);
-            break;
-        }
-        resolved_.push_back(r);
-    }
-
-    // Dry-run the admin reference counts so an unbalanced restore
-    // fails at attach time, not mid-run.
-    std::vector<int> link_count(adminCount_.size(), 0);
-    std::vector<int> drain_count(n, 0);
-    for (const ResolvedEdit &e : resolved_) {
-        const auto bump = [&](NodeId node, PortId q, int delta) {
-            int &c = link_count[std::size_t(node) * netPorts_ + q];
-            c += delta;
-            if (c < 0)
-                fatal("--reconfig: restore of link (node ", node,
-                      ", out port ", q,
-                      ") at cycle ", e.at,
-                      " has no matching removal");
-        };
-        switch (e.kind) {
-          case ReconfigEdit::Kind::LinkDown:
-            bump(e.node, e.outPort, +1);
-            break;
-          case ReconfigEdit::Kind::LinkUp:
-            bump(e.node, e.outPort, -1);
-            break;
-          case ReconfigEdit::Kind::RouterDrain:
-          case ReconfigEdit::Kind::RouterRestore: {
-            const int delta =
-                e.kind == ReconfigEdit::Kind::RouterDrain ? +1 : -1;
-            drain_count[e.node] += delta;
-            if (drain_count[e.node] < 0)
-                fatal("--reconfig: router+ at cycle ", e.at,
-                      " restores router ", e.node,
-                      " which is not drained");
-            for (unsigned d = 0; d < topo_->numDims(); ++d) {
-                for (const bool positive : {true, false}) {
-                    const NodeId peer =
-                        topo_->neighbor(e.node, d, positive);
-                    if (peer == kInvalidNode)
-                        continue;
-                    const PortId q = Topology::outPort(d, positive);
-                    bump(e.node, q, delta);
-                    bump(peer, reversePort(q), delta);
-                }
+    // The dry run makes a bad plan fail at attach time, not mid-run,
+    // exactly where analyzePlanStatic() fails it. Pre-building the
+    // routing functions makes the live switch a pointer swap.
+    linkPorts_ = replayPlan(
+        plan_, *topo_,
+        [&](std::size_t first, std::size_t last, const DeadSet &) {
+            for (std::size_t i = first; i < last; ++i) {
+                const ReconfigEdit &e = plan_.edits[i];
+                if (e.kind == ReconfigEdit::Kind::RoutingSwitch)
+                    routings_.push_back(makeRoutingFunction(
+                        e.routingSpec, *topo_, net.routerParams()));
             }
-            break;
-          }
-          case ReconfigEdit::Kind::RoutingSwitch:
-            break;
-        }
-    }
-}
-
-void
-ReconfigManager::addLinkCause(NodeId node, PortId out_port, int delta)
-{
-    std::uint8_t &count =
-        adminCount_[std::size_t(node) * netPorts_ + out_port];
-    const bool was = count > 0;
-    WORMNET_ASSERT(delta > 0 || count > 0);
-    count = static_cast<std::uint8_t>(int(count) + delta);
-    const bool is = count > 0;
-    if (was == is)
-        return;
-    if (is) {
-        adminMask_[node] |= PortMask(1) << out_port;
-        ++activeLinks_;
-    } else {
-        adminMask_[node] &= ~(PortMask(1) << out_port);
-        WORMNET_ASSERT(activeLinks_ > 0);
-        --activeLinks_;
-    }
-}
-
-void
-ReconfigManager::applyEdit(const ResolvedEdit &e)
-{
-    switch (e.kind) {
-      case ReconfigEdit::Kind::LinkDown:
-        addLinkCause(e.node, e.outPort, +1);
-        break;
-      case ReconfigEdit::Kind::LinkUp:
-        addLinkCause(e.node, e.outPort, -1);
-        break;
-      case ReconfigEdit::Kind::RouterDrain:
-      case ReconfigEdit::Kind::RouterRestore: {
-        const int delta =
-            e.kind == ReconfigEdit::Kind::RouterDrain ? +1 : -1;
-        if (e.kind == ReconfigEdit::Kind::RouterDrain) {
-            if (drainCount_[e.node]++ == 0)
-                ++activeDrains_;
-        } else {
-            WORMNET_ASSERT(drainCount_[e.node] > 0);
-            if (--drainCount_[e.node] == 0) {
-                WORMNET_ASSERT(activeDrains_ > 0);
-                --activeDrains_;
-            }
-        }
-        // A drained router takes every incident link with it, in
-        // both directions, exactly like a router fault.
-        for (unsigned d = 0; d < topo_->numDims(); ++d) {
-            for (const bool positive : {true, false}) {
-                const NodeId peer =
-                    topo_->neighbor(e.node, d, positive);
-                if (peer == kInvalidNode)
-                    continue;
-                const PortId q = Topology::outPort(d, positive);
-                addLinkCause(e.node, q, delta);
-                addLinkCause(peer, reversePort(q), delta);
-            }
-        }
-        break;
-      }
-      case ReconfigEdit::Kind::RoutingSwitch:
-        currentRouting_ = e.routingIdx;
-        net_->setRoutingFunction(*routings_[e.routingIdx]);
-        net_->resetBlockedHeads();
-        break;
-    }
+        });
 }
 
 void
 ReconfigManager::applyDueEpochs(Cycle now)
 {
-    while (nextEdit_ < resolved_.size() &&
-           resolved_[nextEdit_].at <= now) {
-        const Cycle at = resolved_[nextEdit_].at;
+    const std::vector<ReconfigEdit> &edits = plan_.edits;
+    while (nextEdit_ < edits.size() && edits[nextEdit_].at <= now) {
+        const Cycle at = edits[nextEdit_].at;
 
         EpochRecord rec;
         rec.cycle = at;
@@ -418,12 +213,16 @@ ReconfigManager::applyDueEpochs(Cycle now)
             net_->stats_.faultReroutes;
 
         bool any_down = false;
-        while (nextEdit_ < resolved_.size() &&
-               resolved_[nextEdit_].at == at) {
-            const ResolvedEdit &e = resolved_[nextEdit_++];
+        for (; nextEdit_ < edits.size() && edits[nextEdit_].at == at;
+             ++nextEdit_) {
+            const ReconfigEdit &e = edits[nextEdit_];
             any_down |= e.kind == ReconfigEdit::Kind::LinkDown ||
                         e.kind == ReconfigEdit::Kind::RouterDrain;
-            applyEdit(e);
+            applyAdmin(dead_, e, linkPorts_[nextEdit_]);
+            if (e.kind == ReconfigEdit::Kind::RoutingSwitch) {
+                net_->setRoutingFunction(*routings_[++currentRouting_]);
+                net_->resetBlockedHeads();
+            }
             ++rec.edits;
         }
 
@@ -480,8 +279,7 @@ ReconfigManager::updateSettle(Cycle now)
 void
 ReconfigManager::tick(Cycle now)
 {
-    if (nextEdit_ < resolved_.size() &&
-        resolved_[nextEdit_].at <= now)
+    if (nextEdit_ < plan_.edits.size() && plan_.edits[nextEdit_].at <= now)
         applyDueEpochs(now);
     updateSettle(now);
 }
@@ -503,14 +301,10 @@ ReconfigManager::crossCheckNow() const
 {
     // The analyzer sees exactly what the live network sees: faulted
     // plus admin-removed links, faulted plus drained routers.
-    const NodeId n = topo_->numNodes();
     CdgFaults f;
-    f.faultyOut.assign(n, 0);
-    f.faultyRouter.assign(n, 0);
-    for (NodeId node = 0; node < n; ++node) {
-        f.faultyOut[node] = net_->deadOutMask(node);
-        f.faultyRouter[node] = net_->nodeOffline(node) ? 1 : 0;
-    }
+    if (const FaultModel *faults = net_->faultModel())
+        f.add(faults->dead());
+    f.add(dead_);
     const ChannelDepGraph graph(*topo_, net_->routing(),
                                 net_->routerParams(), std::move(f));
     return toString(graph.report().verdict);
@@ -521,10 +315,8 @@ ReconfigManager::saveState(Serializer &s) const
 {
     s.u64(nextEdit_);
     s.u32(static_cast<std::uint32_t>(currentRouting_));
-    for (const std::uint8_t c : adminCount_)
-        s.u8(c);
-    for (const std::uint8_t c : drainCount_)
-        s.u8(c);
+    dead_.saveLinkCounts(s);
+    dead_.saveRouterCounts(s);
     s.u32(static_cast<std::uint32_t>(records_.size()));
     for (std::size_t i = 0; i < records_.size(); ++i) {
         const EpochRecord &rec = records_[i];
@@ -551,9 +343,9 @@ void
 ReconfigManager::loadState(Deserializer &d)
 {
     nextEdit_ = d.u64();
-    if (nextEdit_ > resolved_.size())
+    if (nextEdit_ > plan_.edits.size())
         fatal("reconfiguration checkpoint is ahead of the plan (",
-              nextEdit_, " of ", resolved_.size(), " edits applied)");
+              nextEdit_, " of ", plan_.edits.size(), " edits applied)");
     currentRouting_ = static_cast<std::int32_t>(d.u32());
     if (currentRouting_ >= 0 &&
         static_cast<std::size_t>(currentRouting_) >= routings_.size())
@@ -561,22 +353,8 @@ ReconfigManager::loadState(Deserializer &d)
               currentRouting_, " but the plan only builds ",
               routings_.size());
 
-    adminMask_.assign(adminMask_.size(), 0);
-    activeLinks_ = 0;
-    activeDrains_ = 0;
-    for (std::size_t i = 0; i < adminCount_.size(); ++i) {
-        adminCount_[i] = d.u8();
-        if (adminCount_[i] > 0) {
-            adminMask_[i / netPorts_] |= PortMask(1)
-                                         << (i % netPorts_);
-            ++activeLinks_;
-        }
-    }
-    for (std::uint8_t &c : drainCount_) {
-        c = d.u8();
-        if (c > 0)
-            ++activeDrains_;
-    }
+    dead_.loadLinkCounts(d);
+    dead_.loadRouterCounts(d);
 
     records_.resize(d.u32());
     pending_.resize(records_.size());

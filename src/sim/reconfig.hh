@@ -10,30 +10,14 @@
  * lines of work). All edits scheduled for one cycle form an *epoch*
  * and are applied atomically between two simulator steps.
  *
- * Epoch semantics:
- *  - An admin-removed link transmits nothing, exactly like a faulted
- *    link; admin and fault causes are reference-counted separately
- *    and compose (removing an already-faulted link is legal, as is a
- *    fault on an admin-removed link). The deadlock detector hears
- *    only *combined* dead-state flips.
- *  - Draining a router takes the node plus every incident link (both
- *    directions) out of service, mirroring FaultModel router faults.
- *  - Worms caught across a removed resource are killed and re-queued
- *    at their source through the same bounded-retry path fault kills
- *    use; heads routed toward a removed link that have not crossed it
- *    yet are backed out and re-routed live.
- *  - A routing switch replaces the routing relation under the
- *    in-flight worms. Granted output VCs are honoured (worms finish
- *    their current hop chains); every *blocked* head is re-presented
- *    to the new relation as a fresh first attempt, and the detector's
- *    routing-dependent state is reset via onRoutingChanged() so no
- *    stale presumed-deadlock verdict survives the switch.
- *  - After applying an epoch the manager records how the transient
- *    resolved (worms killed / rerouted / redelivered / abandoned,
- *    settle cycle) and, when cross-checking is enabled, runs the
- *    static channel-dependency analyzer on the post-epoch
- *    configuration so runtime behaviour can be audited against the
- *    offline verdict.
+ * Admin removals and drains are causes in the manager's own DeadSet,
+ * composing with (but counted apart from) the FaultModel's; a removal
+ * strands, kills and re-routes worms through the path a fault flip
+ * uses, and a routing switch re-presents every blocked head to the
+ * new relation as a fresh first attempt. After each epoch the manager
+ * records how the transient resolved and, with cross-checking on, the
+ * static verdict on the post-epoch configuration. docs/MECHANISMS.md
+ * ("Reconfiguration epochs") spells out the semantics.
  *
  * Plan grammar (comma-separated items, see ReconfigPlan::parse):
  *    link-:<a>><b>@<cycle>     remove the a->b link at <cycle>
@@ -54,6 +38,7 @@
 #include "analysis/cdg.hh"
 #include "common/serialize.hh"
 #include "common/types.hh"
+#include "fault/dead_set.hh"
 #include "router/router.hh"
 #include "routing/routing.hh"
 #include "topology/topology.hh"
@@ -142,6 +127,7 @@ struct EpochStaticResult
     Cycle cycle = 0;      ///< epoch activation cycle
     unsigned edits = 0;   ///< edits in this epoch
     std::string routing;  ///< routing in force after the epoch
+    CdgFaults dead;       ///< dead links and routers analyzed
     CdgReport report;     ///< full static analysis of the config
 };
 
@@ -150,10 +136,10 @@ struct EpochStaticResult
  * epoch's edits into the admin dead-resource state, and run the
  * static channel-dependency analyzer on every post-epoch
  * configuration (epoch 0 entry = the initial configuration before
- * any edit). Shares the plan format and resolution rules with the
- * runtime manager, so `wormnet-analyze --reconfig` and the live
- * cross-check can never diverge on what a plan means. fatal() on
- * plans that reference missing links/nodes or unbalance restores.
+ * any edit). Shares the replay with ReconfigManager::bind(), so
+ * `wormnet-analyze --reconfig` and the live cross-check can never
+ * diverge on what a plan means. fatal() on plans that reference
+ * missing links/nodes or unbalance restores.
  *
  * @param base static faults merged into every epoch (from --faults).
  */
@@ -169,9 +155,9 @@ analyzePlanStatic(const ReconfigPlan &plan, const Topology &topo,
  * Network::attachReconfig(), ticked once per cycle right after the
  * fault model.
  *
- * Admin link removals are reference-counted per directed link
- * (an explicit link- plus an overlapping router drain compose and
- * restore independently), mirroring the FaultModel.
+ * Admin removals live in the manager's own DeadSet (an explicit
+ * link- plus an overlapping router drain compose and restore
+ * independently), apart from the FaultModel's.
  */
 class ReconfigManager
 {
@@ -185,11 +171,10 @@ class ReconfigManager
                              bool cross_check = true);
 
     /**
-     * Resolve the plan against @p net's topology: map link endpoints
-     * to output ports, dry-run the admin reference counts (fatal on
-     * a restore without a matching removal), and pre-construct every
-     * routing function the plan switches to. Called by
-     * Network::attachReconfig().
+     * Resolve the plan against @p net's topology and replay it
+     * through a scratch DeadSet (fatal on a restore without a
+     * matching removal), and pre-construct every routing function
+     * the plan switches to. Called by Network::attachReconfig().
      */
     void bind(Network &net);
 
@@ -200,24 +185,9 @@ class ReconfigManager
      */
     void tick(Cycle now);
 
-    /** @name Current admin state (queried by the Network). */
-    /// @{
-    /** Bitmask of admin-removed *network* output ports of @p node. */
-    PortMask
-    adminDownMask(NodeId node) const
-    {
-        return adminMask_[node];
-    }
-
-    /** Router @p node is drained (out of service). */
-    bool drained(NodeId node) const { return drainCount_[node] != 0; }
-
-    /** Links admin-removed right now (directions count separately). */
-    std::size_t activeLinkRemovals() const { return activeLinks_; }
-
-    /** Routers drained right now. */
-    std::size_t activeDrains() const { return activeDrains_; }
-    /// @}
+    /** Links admin-removed and routers drained right now (queried
+     *  by the Network). */
+    const DeadSet &dead() const { return dead_; }
 
     /** @name Progress. */
     /// @{
@@ -234,8 +204,6 @@ class ReconfigManager
     bool settled() const;
     /// @}
 
-    const ReconfigPlan &plan() const { return plan_; }
-
     /** @name Checkpoint support. The plan itself is config (rebuilt
      *  by bind()); admin counts, applied-epoch records and the
      *  outstanding killed-worm lists are written. The active routing
@@ -246,23 +214,6 @@ class ReconfigManager
     /// @}
 
   private:
-    /** Plan edit resolved against the topology. */
-    struct ResolvedEdit
-    {
-        ReconfigEdit::Kind kind;
-        NodeId node = kInvalidNode;
-        PortId outPort = kInvalidPort; ///< links only
-        /** RoutingSwitch: index into routings_. */
-        std::int32_t routingIdx = -1;
-        Cycle at = 0;
-    };
-
-    /** Adjust one directed link's admin reference count. */
-    void addLinkCause(NodeId node, PortId out_port, int delta);
-
-    /** Apply one resolved edit's admin flips. */
-    void applyEdit(const ResolvedEdit &e);
-
     /** Apply every due epoch at cycle @p now. */
     void applyDueEpochs(Cycle now);
 
@@ -277,29 +228,21 @@ class ReconfigManager
 
     Network *net_ = nullptr;
     const Topology *topo_ = nullptr;
-    unsigned netPorts_ = 0;
 
-    /** Plan resolved to (node, out_port / routing idx); cycle order. */
-    std::vector<ResolvedEdit> resolved_;
+    /** Per plan edit: the link's out-port (kInvalidPort otherwise). */
+    std::vector<PortId> linkPorts_;
     std::size_t nextEdit_ = 0;
 
     /** Routing functions the plan switches to, pre-built at bind().
      *  Old functions are kept alive: granted paths may still be
      *  inspected, and checkpoints index into this vector. */
     std::vector<std::unique_ptr<RoutingFunction>> routings_;
-    /** Active function: -1 = the network's construction-time one. */
+    /** Active function: -1 = the network's construction-time one;
+     *  each switch applied moves to the next one. */
     std::int32_t currentRouting_ = -1;
 
-    /** Per (node, network out port): active admin-removal causes. */
-    std::vector<std::uint8_t> adminCount_;
-    /** Per node: bitmask of admin-removed network output ports. */
-    std::vector<PortMask> adminMask_;
-    /** Per node: active drain causes (plan edits are the only source
-     *  today, but counted for symmetry with the FaultModel). */
-    std::vector<std::uint8_t> drainCount_;
-
-    std::size_t activeLinks_ = 0;
-    std::size_t activeDrains_ = 0;
+    /** Admin removals and drains in force. */
+    DeadSet dead_;
 
     /** One record per applied epoch, in application order. */
     std::vector<EpochRecord> records_;

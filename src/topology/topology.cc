@@ -1,8 +1,7 @@
 #include "topology/topology.hh"
 
-#include <sstream>
-
 #include "common/log.hh"
+#include "common/spec.hh"
 #include "topology/mesh.hh"
 #include "topology/mixed_torus.hh"
 #include "topology/torus.hh"
@@ -21,6 +20,20 @@ Topology::distance(NodeId src, NodeId dst) const
     return total;
 }
 
+PortId
+Topology::linkPort(NodeId src, NodeId dst) const
+{
+    if (src >= numNodes() || dst >= numNodes())
+        return kInvalidPort;
+    for (unsigned d = 0; d < numDims(); ++d) {
+        for (const bool positive : {true, false}) {
+            if (neighbor(src, d, positive) == dst)
+                return outPort(d, positive);
+        }
+    }
+    return kInvalidPort;
+}
+
 std::unique_ptr<Topology>
 makeTopology(const std::string &name, unsigned radix, unsigned dims,
              const std::string &radices)
@@ -29,16 +42,12 @@ makeTopology(const std::string &name, unsigned radix, unsigned dims,
         if (name != "torus")
             fatal("mixed radices are only supported on tori");
         std::vector<unsigned> parsed;
-        std::stringstream ss(radices);
-        std::string item;
-        while (std::getline(ss, item, 'x')) {
-            try {
-                parsed.push_back(
-                    static_cast<unsigned>(std::stoul(item)));
-            } catch (const std::exception &) {
+        for (const std::string &item : splitFields(radices, 'x')) {
+            std::uint64_t r = 0;
+            if (!tryParseUnsigned(item, ~0u, r))
                 fatal("malformed radices spec '", radices,
                       "': expected e.g. \"8x4x2\"");
-            }
+            parsed.push_back(static_cast<unsigned>(r));
         }
         return std::make_unique<MixedRadixTorus>(std::move(parsed));
     }

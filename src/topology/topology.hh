@@ -97,6 +97,14 @@ class Topology
     /** Minimal hop distance between two nodes. */
     unsigned distance(NodeId src, NodeId dst) const;
 
+    /**
+     * Output port of @p src whose link leads to @p dst (dimensions in
+     * order, "+" before "-"), or kInvalidPort when no link joins them
+     * or either id is outside the topology. The one place a link is
+     * mapped to a port.
+     */
+    PortId linkPort(NodeId src, NodeId dst) const;
+
     /** True when the topology has wraparound links (torus). Routing
      *  functions use this to decide whether dateline virtual-channel
      *  classes are needed for deadlock-free escape paths. */

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/log.hh"
+#include "common/spec.hh"
 
 namespace wormnet
 {
@@ -112,32 +113,33 @@ makeLengthDistribution(const std::string &spec)
     }
     if (spec.rfind("mix:", 0) == 0) {
         std::vector<MixLength::Component> comps;
-        std::stringstream ss(spec.substr(4));
-        std::string item;
-        while (std::getline(ss, item, ',')) {
+        for (const std::string &item : splitFields(spec.substr(4), ',')) {
             const auto x = item.find('x');
             if (x == std::string::npos)
                 fatal("bad mix component '", item,
                       "', want <flits>x<weight>");
             comps.push_back(
-                {static_cast<unsigned>(std::stoul(item.substr(0, x))),
-                 std::stod(item.substr(x + 1))});
+                {parseUnsigned<unsigned>(item.substr(0, x),
+                                         "mix component length"),
+                 parseReal(item.substr(x + 1), "mix component weight")});
         }
         return std::make_unique<MixLength>(std::move(comps));
     }
     if (spec.rfind("uniform:", 0) == 0) {
-        std::stringstream ss(spec.substr(8));
-        std::string lo, hi;
-        if (!std::getline(ss, lo, ':') || !std::getline(ss, hi, ':'))
-            fatal("bad uniform length spec '", spec, "'");
-        return std::make_unique<UniformLength>(
-            static_cast<unsigned>(std::stoul(lo)),
-            static_cast<unsigned>(std::stoul(hi)));
+        const std::vector<std::string> bounds =
+            splitFields(spec.substr(8), ':');
+        if (bounds.size() != 2)
+            fatal("bad uniform length spec '", spec,
+                  "', want uniform:<lo>:<hi>");
+        const auto lo =
+            parseUnsigned<unsigned>(bounds[0], "uniform length low");
+        const auto hi =
+            parseUnsigned<unsigned>(bounds[1], "uniform length high");
+        return std::make_unique<UniformLength>(lo, hi);
     }
     // Bare integer: fixed length.
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(spec.c_str(), &end, 10);
-    if (end != spec.c_str() && *end == '\0' && v >= 1)
+    std::uint64_t v = 0;
+    if (tryParseUnsigned(spec, ~0u, v) && v >= 1)
         return std::make_unique<FixedLength>(static_cast<unsigned>(v));
     fatal("unknown length distribution '", spec, "'");
 }

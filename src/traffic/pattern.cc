@@ -4,6 +4,7 @@
 
 #include "common/contracts.hh"
 #include "common/log.hh"
+#include "common/spec.hh"
 
 namespace wormnet
 {
@@ -205,21 +206,22 @@ TornadoPattern::destination(NodeId src, Rng &)
 std::unique_ptr<TrafficPattern>
 makePattern(const std::string &spec, const Topology &topo)
 {
-    std::vector<std::string> parts;
-    std::stringstream ss(spec);
-    std::string item;
-    while (std::getline(ss, item, ':'))
-        parts.push_back(item);
-    if (parts.empty())
+    if (spec.empty())
         fatal("empty traffic pattern spec");
-
+    const std::vector<std::string> parts = splitFields(spec, ':');
     const std::string &kind = parts[0];
+    rejectSurplusFields(parts,
+                        kind == "hotspot"    ? 3
+                        : kind == "locality" ? 2
+                                             : 1,
+                        spec);
+
     if (kind == "uniform")
         return std::make_unique<UniformPattern>(topo);
     if (kind == "locality") {
         unsigned radius = 3;
         if (parts.size() > 1)
-            radius = static_cast<unsigned>(std::stoul(parts[1]));
+            radius = parseUnsigned<unsigned>(parts[1], "locality radius");
         return std::make_unique<LocalityPattern>(topo, radius);
     }
     if (kind == "bitrev")
@@ -236,9 +238,9 @@ makePattern(const std::string &spec, const Topology &topo)
         double frac = 0.05;
         NodeId hot = topo.numNodes() / 2;
         if (parts.size() > 1)
-            frac = std::stod(parts[1]);
+            frac = parseReal(parts[1], "hotspot fraction");
         if (parts.size() > 2)
-            hot = static_cast<NodeId>(std::stoul(parts[2]));
+            hot = parseUnsigned<NodeId>(parts[2], "hotspot node");
         if (hot >= topo.numNodes())
             fatal("hotspot node ", hot, " out of range");
         return std::make_unique<HotSpotPattern>(

@@ -13,6 +13,7 @@
 #include "common/contracts.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
+#include "common/spec.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 
@@ -103,6 +104,35 @@ TEST(Rng, SplitStreamsAreIndependent)
     EXPECT_LT(same, 4);
 }
 
+TEST(SpecParse, StrictUnsignedAndFields)
+{
+    std::uint64_t v = 7;
+    EXPECT_TRUE(tryParseUnsigned("42", 100, v));
+    EXPECT_EQ(v, 42u);
+    EXPECT_TRUE(tryParseUnsigned("18446744073709551615", ~0ull, v));
+    EXPECT_EQ(v, ~0ull);
+    for (const char *bad : {"", "-1", "+1", " 1", "1 ", "0x10", "1e3",
+                            "18446744073709551616"})
+        EXPECT_FALSE(tryParseUnsigned(bad, ~0ull, v)) << bad;
+    EXPECT_FALSE(tryParseUnsigned("101", 100, v));
+    EXPECT_FALSE(tryParseUnsigned("5", 3, v));
+    EXPECT_EQ(parseUnsigned<std::uint8_t>("255", "byte"), 255u);
+    EXPECT_THROW(parseUnsigned<std::uint8_t>("256", "byte"), FatalError);
+
+    double d = 0.0;
+    EXPECT_TRUE(tryParseReal("0.25", d));
+    EXPECT_DOUBLE_EQ(d, 0.25);
+    for (const char *bad : {"", "x", "0.5x", " 1", "inf", "nan", "1e999"})
+        EXPECT_FALSE(tryParseReal(bad, d)) << bad;
+
+    EXPECT_EQ(splitFields("a::b", ':'),
+              (std::vector<std::string>{"a", "", "b"}));
+    EXPECT_EQ(splitFields("a:", ':'),
+              (std::vector<std::string>{"a", ""}));
+    EXPECT_THROW(rejectSurplusFields({"a", "b", "c"}, 2, "a:b:c"),
+                 FatalError);
+}
+
 TEST(Config, ParseArgsForms)
 {
     const char *argv[] = {"pos", "--alpha", "3", "--beta=hello",
@@ -137,6 +167,17 @@ TEST(Config, MalformedIntIsFatal)
     Config cfg;
     cfg.set("n", "abc");
     EXPECT_THROW(cfg.getInt("n", 0), FatalError);
+}
+
+TEST(Config, MalformedDoubleIsFatal)
+{
+    Config cfg;
+    for (const char *bad : {"abc", "0.5x", " 0.5", "inf", "nan", "1e999"}) {
+        cfg.set("x", bad);
+        EXPECT_THROW(cfg.getDouble("x", 0.0), FatalError) << bad;
+    }
+    cfg.set("x", "0.25");
+    EXPECT_DOUBLE_EQ(cfg.getDouble("x", 0.0), 0.25);
 }
 
 TEST(Config, MalformedBoolIsFatal)

@@ -464,6 +464,21 @@ TEST(DetectorFactory, RejectsBadSpecs)
     EXPECT_THROW(makeDetector("dwfg:32:huh"), FatalError);
     EXPECT_THROW(makeDetector("dwfg:bw=0"), FatalError);
     EXPECT_THROW(makeDetector(""), FatalError);
+    // Surplus fields.
+    EXPECT_THROW(makeDetector("timeout:32:junk"), FatalError);
+    EXPECT_THROW(makeDetector("src-age-timeout:1:2"), FatalError);
+    EXPECT_THROW(makeDetector("inj-stall-timeout:1:2"), FatalError);
+    EXPECT_THROW(makeDetector("pdm:8:gated:gated"), FatalError);
+    EXPECT_THROW(makeDetector("ndm:32:1:2"), FatalError);
+    EXPECT_THROW(makeDetector("none:5"), FatalError);
+    // Signed, padded or empty numbers.
+    EXPECT_THROW(makeDetector("ndm:-1"), FatalError);
+    EXPECT_THROW(makeDetector("ndm:+5"), FatalError);
+    EXPECT_THROW(makeDetector("timeout: 5"), FatalError);
+    EXPECT_THROW(makeDetector("ndm:"), FatalError);
+    // Values that do not fit their field.
+    EXPECT_THROW(makeDetector("ndm:18446744073709551616"), FatalError);
+    EXPECT_THROW(makeDetector("dwfg:bw=4294967296"), FatalError);
 }
 
 } // namespace

@@ -119,9 +119,9 @@ TEST(Experiment, FormatTableWithReferenceValues)
     const ExperimentRunner runner;
     const TableResult result = runner.runTable(spec);
 
-    const double refs[] = {1.23};
+    const PaperRef refs{{8}, {1.23}};
     const TextTable table =
-        ExperimentRunner::formatTable(result, refs);
+        ExperimentRunner::formatTable(result, &refs);
     EXPECT_NE(table.render().find("(1.23)"), std::string::npos);
 }
 

@@ -6,6 +6,9 @@
  * faulted ports never appear in feasible sets, the detector raises no
  * false verdicts merely because a link died, and stranded worms are
  * killed and either redelivered or abandoned with exact accounting.
+ * The DeadSet tests pin the one cause-counted record of dead links
+ * and routers that faults, reconfiguration and the static analyzer
+ * share.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +16,11 @@
 #include "common/log.hh"
 #include "core/simulation.hh"
 #include "detector_fixture.hh"
+#include "fault/dead_set.hh"
 #include "fault/fault.hh"
+#include "sim/reconfig.hh"
 #include "sim/validate.hh"
+#include "topology/mesh.hh"
 #include "topology/torus.hh"
 
 namespace wormnet
@@ -47,6 +53,9 @@ TEST(FaultSpec, RejectsMalformedSpecs)
     EXPECT_THROW(FaultModel::parseSpec("rate:1.5"), FatalError);
     EXPECT_THROW(FaultModel::parseSpec("rate:x"), FatalError);
     EXPECT_THROW(FaultModel::parseSpec(""), FatalError);
+    EXPECT_THROW(FaultModel::parseSpec("link:0>4294967296@5"), FatalError);
+    EXPECT_THROW(FaultModel::parseSpec("link:0>1@-5"), FatalError);
+    EXPECT_THROW(FaultModel::parseSpec("router:+3@1"), FatalError);
 }
 
 TEST(FaultModel, ScheduledFaultActivatesAndRepairs)
@@ -62,25 +71,26 @@ TEST(FaultModel, ScheduledFaultActivatesAndRepairs)
 
     const PortId out = Topology::outPort(0, true); // 1 -> 2
     for (Cycle c = 0; c < 10; ++c) {
-        EXPECT_FALSE(fm.tick(c));
-        EXPECT_FALSE(fm.linkFaulty(1, out));
+        EXPECT_FALSE(fm.tick(c).any());
+        EXPECT_FALSE(fm.dead().linkDown(1, out));
     }
-    EXPECT_TRUE(fm.tick(10));
-    EXPECT_TRUE(fm.linkFaulty(1, out));
-    EXPECT_EQ(fm.activeLinkFaults(), 1u);
+    const LinkFlips failed = fm.tick(10);
+    EXPECT_TRUE(failed.down);
+    EXPECT_FALSE(failed.up);
+    EXPECT_TRUE(fm.dead().linkDown(1, out));
+    EXPECT_EQ(fm.dead().activeLinks(), 1u);
     EXPECT_EQ(fm.faultsInjected(), 1u);
-    ASSERT_EQ(fm.changes().size(), 1u);
-    EXPECT_EQ(fm.changes()[0].node, 1u);
-    EXPECT_EQ(fm.changes()[0].outPort, out);
-    EXPECT_TRUE(fm.changes()[0].faulty);
+    EXPECT_EQ(fm.dead().outMask(1), PortMask(1) << out);
     // Only the 1->2 direction died; 2->1 still works.
-    EXPECT_FALSE(fm.linkFaulty(2, Topology::outPort(0, false)));
+    EXPECT_FALSE(fm.dead().linkDown(2, Topology::outPort(0, false)));
 
     for (Cycle c = 11; c < 15; ++c)
-        EXPECT_FALSE(fm.tick(c));
-    EXPECT_TRUE(fm.tick(15)); // 10 + repairDelay
-    EXPECT_FALSE(fm.linkFaulty(1, out));
-    EXPECT_EQ(fm.activeLinkFaults(), 0u);
+        EXPECT_FALSE(fm.tick(c).any());
+    const LinkFlips repaired = fm.tick(15); // 10 + repairDelay
+    EXPECT_TRUE(repaired.up);
+    EXPECT_FALSE(repaired.down);
+    EXPECT_FALSE(fm.dead().linkDown(1, out));
+    EXPECT_EQ(fm.dead().activeLinks(), 0u);
     EXPECT_EQ(fm.faultsRepaired(), 1u);
 }
 
@@ -92,20 +102,21 @@ TEST(FaultModel, RouterFaultFailsAllIncidentLinks)
 
     FaultModel fm(FaultModel::parseSpec("router:5@0"));
     fm.init(topo, rp, 1);
-    EXPECT_TRUE(fm.tick(0));
-    EXPECT_TRUE(fm.routerFaulty(5));
-    EXPECT_EQ(fm.activeRouterFaults(), 1u);
+    EXPECT_TRUE(fm.tick(0).down);
+    EXPECT_TRUE(fm.dead().routerDown(5));
+    EXPECT_EQ(fm.dead().activeRouters(), 1u);
     // Every outgoing link of 5 and every neighbour's link toward 5.
-    EXPECT_EQ(fm.faultyOutMask(5), (PortMask(1) << rp.netPorts) - 1);
+    EXPECT_EQ(fm.dead().outMask(5), (PortMask(1) << rp.netPorts) - 1);
     for (unsigned d = 0; d < topo.numDims(); ++d) {
         for (const bool pos : {true, false}) {
             const NodeId n = topo.neighbor(5, d, pos);
-            EXPECT_TRUE(fm.linkFaulty(n, Topology::outPort(d, !pos)));
+            EXPECT_TRUE(
+                fm.dead().linkDown(n, Topology::outPort(d, !pos)));
         }
     }
     // Unrelated links stay healthy.
-    EXPECT_FALSE(fm.routerFaulty(0));
-    EXPECT_EQ(fm.faultyOutMask(0), 0u);
+    EXPECT_FALSE(fm.dead().routerDown(0));
+    EXPECT_EQ(fm.dead().outMask(0), 0u);
 }
 
 TEST(FaultModel, RejectsLinkAbsentFromTopology)
@@ -272,7 +283,7 @@ TEST(Fault, DeadRouterKillsOccupantsAndTrafficDrains)
     validateNetworkInvariants(net);
 
     ASSERT_NE(net.faultModel(), nullptr);
-    EXPECT_EQ(net.faultModel()->activeRouterFaults(), 1u);
+    EXPECT_EQ(net.faultModel()->dead().activeRouters(), 1u);
     const SimStats &s = net.stats();
     EXPECT_GT(s.abandoned, 0u); // messages addressed to the dead node
     EXPECT_EQ(s.injected, s.delivered + s.kills + s.abandoned);
@@ -375,6 +386,191 @@ TEST(Fault, AcceptanceScheduledLinkFaultOn8x8Torus)
     EXPECT_GE(faulted.deliveredFraction, 0.99);
     EXPECT_LE(faulted.fpRate, 2.0 * base.fpRate + 1e-3);
     EXPECT_GE(faulted.faultKills, 0u);
+}
+
+TEST(DeadSet, LinkAndRouterCausesComposeAndReleaseIndependently)
+{
+    const KAryNCube topo(4, 2);
+    const PortId q = topo.linkPort(5, 6);
+    ASSERT_NE(q, kInvalidPort);
+
+    // Link fault first, router outage second; release the link first.
+    DeadSet dead(topo);
+    EXPECT_TRUE(dead.addLink(5, q, +1).down);
+    EXPECT_FALSE(dead.addRouter(5, +1).up);
+    EXPECT_TRUE(dead.routerDown(5));
+    EXPECT_FALSE(dead.addLink(5, q, -1).any())
+        << "the router outage still holds 5>6 down";
+    EXPECT_TRUE(dead.linkDown(5, q));
+    const LinkFlips back = dead.addRouter(5, -1);
+    EXPECT_TRUE(back.up);
+    EXPECT_FALSE(back.down);
+    EXPECT_FALSE(dead.linkDown(5, q));
+    EXPECT_FALSE(dead.routerDown(5));
+    EXPECT_EQ(dead.activeLinks(), 0u);
+    EXPECT_EQ(dead.activeRouters(), 0u);
+
+    // The other order: the router comes back while the fault holds.
+    EXPECT_TRUE(dead.addRouter(5, +1).down);
+    EXPECT_FALSE(dead.addLink(5, q, +1).any());
+    dead.addRouter(5, -1);
+    EXPECT_EQ(dead.outMask(5), PortMask(1) << q);
+    EXPECT_EQ(dead.activeLinks(), 1u);
+    EXPECT_TRUE(dead.addLink(5, q, -1).up);
+    EXPECT_EQ(dead.activeLinks(), 0u);
+}
+
+TEST(DeadSet, MeshEdgeRouterSkipsMissingLinks)
+{
+    const KAryNMesh topo(4, 2);
+    DeadSet dead(topo);
+    // Corner 0 has only "+" neighbours: 1 in dim 0, 4 in dim 1.
+    dead.addRouter(0, +1);
+    EXPECT_EQ(dead.activeLinks(), 4u);
+    EXPECT_EQ(dead.outMask(0), (PortMask(1) << Topology::outPort(0, true)) |
+                                   (PortMask(1) << Topology::outPort(1, true)));
+    EXPECT_TRUE(dead.linkDown(1, topo.linkPort(1, 0)));
+    EXPECT_TRUE(dead.linkDown(4, topo.linkPort(4, 0)));
+    dead.addRouter(0, -1);
+    EXPECT_EQ(dead.activeLinks(), 0u);
+}
+
+TEST(DeadSet, The256thCauseIsFatal)
+{
+    const KAryNCube topo(4, 2);
+    const PortId q = topo.linkPort(0, 1);
+    DeadSet dead(topo);
+    for (int i = 0; i < 255; ++i)
+        dead.addLink(0, q, +1);
+    EXPECT_THROW(dead.addLink(0, q, +1), FatalError);
+    // Releasing a cause nobody holds is just as fatal.
+    EXPECT_THROW(dead.addLink(1, q, -1), FatalError);
+    EXPECT_THROW(dead.addRouter(3, -1), FatalError);
+
+    // Both owners hit the cap instead of wrapping the count to 0.
+    std::string faults, plan;
+    for (int i = 0; i < 256; ++i) {
+        faults += "link:0>1@5,";
+        plan += "link-:0>1@5,";
+    }
+    SimulationConfig cfg = torusConfig();
+    cfg.faults = faults;
+    Simulation sim(cfg);
+    EXPECT_THROW(sim.net().run(10), FatalError);
+
+    SimulationConfig admin = torusConfig();
+    admin.reconfig = plan;
+    EXPECT_THROW(Simulation{admin}, FatalError);
+}
+
+TEST(DeadSet, FaultCheckpointIsCheckedAgainstItsCounts)
+{
+    const KAryNCube topo(4, 2);
+    RouterParams rp;
+    rp.netPorts = topo.numNetPorts();
+    const FaultParams params =
+        FaultModel::parseSpec("link:0>1@0,router:5@0");
+    FaultModel fm(params);
+    fm.init(topo, rp, 3);
+    fm.tick(0);
+    Serializer s;
+    fm.saveState(s);
+    const std::vector<std::uint8_t> good = s.bytes();
+
+    // Layout: RNG state, u64 next schedule index, u64 count-array
+    // length, one count byte per link, then a u32 mask per node.
+    Serializer rng;
+    Rng().saveState(rng);
+    const std::size_t length_at = rng.bytes().size() + 8;
+    const std::size_t masks_at =
+        length_at + 8 + std::size_t(topo.numNodes()) * rp.netPorts;
+
+    const auto load = [&](std::vector<std::uint8_t> bytes) {
+        FaultModel copy(params);
+        copy.init(topo, rp, 3);
+        Deserializer d(bytes.data(), bytes.size());
+        copy.loadState(d);
+        return copy.dead().activeLinks();
+    };
+    EXPECT_EQ(load(good), fm.dead().activeLinks());
+
+    std::vector<std::uint8_t> bad_mask = good;
+    bad_mask[masks_at] ^= 1; // node 0's 0>1 bit
+    EXPECT_THROW(load(bad_mask), FatalError);
+
+    std::vector<std::uint8_t> bad_length = good;
+    bad_length[length_at + 7] = 0xff; // ~2^63 counts: never allocated
+    EXPECT_THROW(load(bad_length), FatalError);
+}
+
+/** The message of the FatalError @p fn throws ("" if none). */
+template <typename Fn>
+std::string
+fatalMessage(Fn fn)
+{
+    try {
+        fn();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(DeadSet, BadPlanFailsLiveAndStaticAlike)
+{
+    const Simulation plain(torusConfig());
+    const Topology &topo = plain.net().topology();
+    const RouterParams &params = plain.net().routerParams();
+    for (const char *spec :
+         {"link+:0>1@100", "router+:3@100",
+          "link-:0>1@10,link+:0>1@20,link+:0>1@30",
+          "router-:5@10,link+:5>6@20,router+:5@30",
+          "routing:zigzag@5,link+:0>1@10",
+          "link+:0>1@5,routing:zigzag@10"}) {
+        SimulationConfig cfg = torusConfig();
+        cfg.reconfig = spec;
+        const std::string live =
+            fatalMessage([&] { Simulation sim(cfg); });
+        const std::string offline = fatalMessage([&] {
+            analyzePlanStatic(ReconfigPlan::parse(spec), topo, params,
+                              cfg.routing);
+        });
+        EXPECT_FALSE(live.empty()) << spec;
+        EXPECT_EQ(live, offline) << spec;
+    }
+}
+
+TEST(DeadSet, LiveMasksMatchTheStaticReplayAfterEveryEpoch)
+{
+    SimulationConfig cfg = torusConfig(0.3);
+    cfg.faults = "link:2>3@0,router:9@0";
+    cfg.reconfig = "link-:0>1@100,router-:5@200,routing:duato@300,"
+                   "link-:2>3@350,link+:0>1@400,router-:9@450,"
+                   "router+:5@500,link+:2>3@600,router+:9@650";
+    Simulation sim(cfg);
+    Network &net = sim.net();
+    const Topology &topo = net.topology();
+    const RouterParams &params = net.routerParams();
+    const std::vector<EpochStaticResult> epochs = analyzePlanStatic(
+        ReconfigPlan::parse(cfg.reconfig), topo, params, cfg.routing,
+        resolveFaults(topo, params, FaultModel::parseSpec(cfg.faults)));
+    const ReconfigManager *mgr = sim.reconfigManager();
+
+    // Entry 0 is the configuration before any edit (the faults fire
+    // at cycle 0); entry e is the one after the e-th epoch.
+    ASSERT_EQ(epochs.size(), 10u);
+    for (std::size_t e = 0; e < epochs.size(); ++e) {
+        net.run(1);
+        while (mgr->epochs().size() < e)
+            net.run(1);
+        const CdgFaults &want = epochs[e].dead;
+        for (NodeId node = 0; node < topo.numNodes(); ++node) {
+            EXPECT_EQ(net.deadOutMask(node), want.faultyOut[node])
+                << "epoch " << e << ", node " << node;
+            EXPECT_EQ(net.nodeOffline(node), want.faultyRouter[node] != 0)
+                << "epoch " << e << ", node " << node;
+        }
+    }
 }
 
 } // namespace

@@ -58,6 +58,8 @@ TEST(ReconfigPlanParse, MalformedSpecsAreFatal)
     EXPECT_THROW(ReconfigPlan::parse("nuke:3@100"), FatalError);
     EXPECT_THROW(ReconfigPlan::parse("router-:x@100"), FatalError);
     EXPECT_THROW(ReconfigPlan::parse("routing:@100"), FatalError);
+    EXPECT_THROW(ReconfigPlan::parse("link-:0>1@1e3"), FatalError);
+    EXPECT_THROW(ReconfigPlan::parse("router-:4294967296@1"), FatalError);
 }
 
 TEST(ReconfigBind, RejectsBadPlans)
@@ -102,13 +104,13 @@ TEST(ReconfigLive, LinkRemoveAndRestoreRoundTrip)
     ASSERT_NE(mgr, nullptr);
 
     sim.net().run(50);
-    EXPECT_EQ(mgr->activeLinkRemovals(), 0u);
+    EXPECT_EQ(mgr->dead().activeLinks(), 0u);
     EXPECT_EQ(mgr->epochs().size(), 0u);
     EXPECT_EQ(sim.net().deadOutMask(0), 0u);
 
     sim.net().run(100); // now = 150: removal epoch applied
     ASSERT_EQ(mgr->epochs().size(), 1u);
-    EXPECT_EQ(mgr->activeLinkRemovals(), 1u);
+    EXPECT_EQ(mgr->dead().activeLinks(), 1u);
     EXPECT_NE(sim.net().deadOutMask(0), 0u);
     EXPECT_EQ(mgr->epochs()[0].cycle, 100u);
     EXPECT_EQ(mgr->epochs()[0].edits, 1u);
@@ -116,7 +118,7 @@ TEST(ReconfigLive, LinkRemoveAndRestoreRoundTrip)
 
     sim.net().run(300); // now = 450: restore epoch applied
     ASSERT_EQ(mgr->epochs().size(), 2u);
-    EXPECT_EQ(mgr->activeLinkRemovals(), 0u);
+    EXPECT_EQ(mgr->dead().activeLinks(), 0u);
     EXPECT_EQ(sim.net().deadOutMask(0), 0u);
     EXPECT_TRUE(mgr->planExhausted());
 
@@ -139,8 +141,8 @@ TEST(ReconfigLive, RouterDrainTakesIncidentLinksDown)
     const ReconfigManager *mgr = sim.reconfigManager();
 
     sim.net().run(150);
-    EXPECT_TRUE(mgr->drained(5));
-    EXPECT_EQ(mgr->activeDrains(), 1u);
+    EXPECT_TRUE(mgr->dead().routerDown(5));
+    EXPECT_EQ(mgr->dead().activeRouters(), 1u);
     EXPECT_TRUE(sim.net().nodeOffline(5));
     // Every network output port of the drained router is dead, and
     // each neighbour's port toward it as well (4 neighbours on the
@@ -151,8 +153,8 @@ TEST(ReconfigLive, RouterDrainTakesIncidentLinksDown)
             << "neighbour " << nbr << " keeps sending into router 5";
 
     sim.net().run(400); // past the restore
-    EXPECT_FALSE(mgr->drained(5));
-    EXPECT_EQ(mgr->activeDrains(), 0u);
+    EXPECT_FALSE(mgr->dead().routerDown(5));
+    EXPECT_EQ(mgr->dead().activeRouters(), 0u);
     EXPECT_FALSE(sim.net().nodeOffline(5));
     EXPECT_EQ(sim.net().deadOutMask(5), 0u);
     for (NodeId nbr : {1u, 4u, 6u, 9u})
@@ -229,16 +231,16 @@ TEST(ReconfigLive, AdminAndFaultCausesCompose)
 
     sim.net().run(150); // fault only
     EXPECT_NE(sim.net().deadOutMask(0), 0u);
-    EXPECT_EQ(mgr->activeLinkRemovals(), 0u);
+    EXPECT_EQ(mgr->dead().activeLinks(), 0u);
 
     sim.net().run(350); // now = 500: fault healed, admin still down
     EXPECT_GE(sim.net().stats().faultsRepaired, 1u);
-    EXPECT_EQ(mgr->activeLinkRemovals(), 1u);
+    EXPECT_EQ(mgr->dead().activeLinks(), 1u);
     EXPECT_NE(sim.net().deadOutMask(0), 0u)
         << "repair resurrected an admin-removed link";
 
     sim.net().run(400); // now = 900: admin restore clears last cause
-    EXPECT_EQ(mgr->activeLinkRemovals(), 0u);
+    EXPECT_EQ(mgr->dead().activeLinks(), 0u);
     EXPECT_EQ(sim.net().deadOutMask(0), 0u);
 
     sim.net().run(2000);

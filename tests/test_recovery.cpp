@@ -268,7 +268,9 @@ TEST(Disha, MoreTokensRecoverFasterUnderManyDeadlocks)
         cfg.dims = 2;
         cfg.vcs = 1;
         cfg.flitRate = 0.3;
-        cfg.lengths = "s";
+        // A temporary, not = "s": GCC 12 reports a false -Wrestrict
+        // overlap in string::operator=(const char *) here.
+        cfg.lengths = std::string("s");
         cfg.detector = "ndm:16";
         cfg.recovery = recovery;
         cfg.injectionLimit = false;
@@ -381,6 +383,13 @@ TEST(RecoveryFactory, ParsesSpecs)
         std::string::npos);
     EXPECT_THROW(makeRecoveryManager("teleport"), FatalError);
     EXPECT_THROW(makeRecoveryManager("progressive:x"), FatalError);
+    EXPECT_THROW(makeRecoveryManager("progressive:1:2:3"), FatalError);
+    EXPECT_THROW(makeRecoveryManager("regressive:-1"), FatalError);
+    EXPECT_THROW(makeRecoveryManager("regressive:16:4294967296"),
+                 FatalError);
+    EXPECT_THROW(makeRecoveryManager("disha:4294967297"), FatalError);
+    EXPECT_THROW(makeRecoveryManager("disha:1:2:3:4"), FatalError);
+    EXPECT_THROW(makeRecoveryManager(""), FatalError);
 }
 
 TEST(Recovery, WorksUnderBackgroundTraffic)

@@ -175,6 +175,30 @@ TEST(Mesh, DistanceIsManhattan)
     EXPECT_EQ(m.distance(0, m.numNodes() - 1), 9u);
 }
 
+TEST(Topology, LinkPortMapsEachLinkToItsOutPort)
+{
+    const KAryNCube torus(4, 2);
+    const KAryNMesh mesh(4, 2);
+    for (const Topology *topo :
+         {static_cast<const Topology *>(&torus),
+          static_cast<const Topology *>(&mesh)}) {
+        for (NodeId n = 0; n < topo->numNodes(); ++n) {
+            for (PortId q = 0; q < topo->numNetPorts(); ++q) {
+                const NodeId peer =
+                    topo->neighbor(n, Topology::dimOfPort(q),
+                                   Topology::isPositivePort(q));
+                if (peer != kInvalidNode) {
+                    EXPECT_EQ(topo->linkPort(n, peer), q);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(torus.linkPort(0, 5), kInvalidPort); // diagonal
+    EXPECT_EQ(mesh.linkPort(0, 3), kInvalidPort);  // no wraparound
+    EXPECT_EQ(torus.linkPort(0, 16), kInvalidPort); // out of range
+    EXPECT_EQ(torus.linkPort(16, 0), kInvalidPort);
+}
+
 TEST(MixedTorus, ShapeAndCoordinates)
 {
     const MixedRadixTorus t({8, 4, 2});
@@ -192,6 +216,14 @@ TEST(MixedTorus, ShapeAndCoordinates)
     EXPECT_EQ(t.coordinate(n, 0), 3u);
     EXPECT_EQ(t.coordinate(n, 1), 2u);
     EXPECT_EQ(t.coordinate(n, 2), 1u);
+}
+
+TEST(MixedTorus, MalformedRadicesAreFatal)
+{
+    for (const char *radices : {"8ax4", "8x", "8x-4", "x4", "8x4x "})
+        EXPECT_THROW(makeTopology("torus", 4, 2, radices), FatalError)
+            << radices;
+    EXPECT_EQ(makeTopology("torus", 4, 2, "8x4")->numNodes(), 32u);
 }
 
 TEST(MixedTorus, NeighborsWrapPerDimension)

@@ -218,6 +218,18 @@ TEST(PatternFactory, UnknownIsFatal)
     EXPECT_THROW(makePattern("", topo), FatalError);
 }
 
+TEST(PatternFactory, MalformedParametersAreFatal)
+{
+    const KAryNCube topo(8, 2);
+    EXPECT_THROW(makePattern("hotspot:abc", topo), FatalError);
+    EXPECT_THROW(makePattern("hotspot:0.05:5x", topo), FatalError);
+    EXPECT_THROW(makePattern("hotspot:0.05:-1", topo), FatalError);
+    EXPECT_THROW(makePattern("hotspot:0.05:5:6", topo), FatalError);
+    EXPECT_THROW(makePattern("hotspot:nan", topo), FatalError);
+    EXPECT_THROW(makePattern("locality:two", topo), FatalError);
+    EXPECT_THROW(makePattern("uniform:3", topo), FatalError);
+}
+
 TEST(FixedLength, AlwaysSame)
 {
     FixedLength len(16);
@@ -283,6 +295,12 @@ TEST(LengthFactory, BadSpecsFatal)
     EXPECT_THROW(makeLengthDistribution("0"), FatalError);
     EXPECT_THROW(makeLengthDistribution("mix:16"), FatalError);
     EXPECT_THROW(makeLengthDistribution("uniform:9"), FatalError);
+    EXPECT_THROW(makeLengthDistribution("uniform:a:b"), FatalError);
+    EXPECT_THROW(makeLengthDistribution("uniform:2:6:9"), FatalError);
+    EXPECT_THROW(makeLengthDistribution("mix:ax1"), FatalError);
+    EXPECT_THROW(makeLengthDistribution("mix:16xabc"), FatalError);
+    EXPECT_THROW(makeLengthDistribution("16x"), FatalError);
+    EXPECT_THROW(makeLengthDistribution("4294967296"), FatalError);
 }
 
 TEST(Generator, RateMatchesRequested)
